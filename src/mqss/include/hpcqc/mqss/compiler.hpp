@@ -86,6 +86,11 @@ public:
   void add(std::unique_ptr<Pass> pass);
   std::size_t pass_count() const { return passes_.size(); }
   void run(CompilationUnit& unit, const qdmi::DeviceInterface& device) const;
+  /// Runs the passes over `circuit` as a fresh core-dialect unit and
+  /// packages the result; compile() is this over standard_pipeline(), so a
+  /// custom or ablated pipeline yields the same artifact fields.
+  CompiledProgram compile(const circuit::Circuit& circuit,
+                          const qdmi::DeviceInterface& device) const;
 
 private:
   std::vector<std::unique_ptr<Pass>> passes_;
@@ -96,7 +101,9 @@ private:
 PassManager standard_pipeline(const CompilerOptions& options);
 
 /// Convenience front door: compile a frontend circuit for a device using
-/// live QDMI data.
+/// live QDMI data. For a circuit with no symbols this is bit-identical to
+/// compile_template(c).base (template.hpp): both lower through one
+/// implementation.
 CompiledProgram compile(const circuit::Circuit& circuit,
                         const qdmi::DeviceInterface& device,
                         const CompilerOptions& options = {});
@@ -135,7 +142,8 @@ private:
 };
 
 /// Lowers every gate to the native set {PRX, CZ} using virtual-Z phase
-/// tracking (RZ costs nothing on this hardware: it is a frame update).
+/// tracking (RZ costs nothing on this hardware: it is a frame update). Runs
+/// the same lowering code as compile_template, on literal angles.
 class NativeDecompositionPass final : public Pass {
 public:
   std::string name() const override { return "decompose-native"; }
@@ -144,7 +152,8 @@ public:
 };
 
 /// Peephole cleanup on the native dialect: drops identity rotations, fuses
-/// same-axis PRX chains, cancels adjacent CZ pairs.
+/// same-axis PRX chains, cancels adjacent CZ pairs. Shares its rules with
+/// compile_template.
 class PeepholePass final : public Pass {
 public:
   std::string name() const override { return "peephole"; }

@@ -57,11 +57,16 @@ struct CompiledTemplate {
 };
 
 /// The structure phase: runs placement and routing on the parameter-free
-/// skeleton (neither pass reads angles), then mirrors native decomposition
-/// and the peephole through affine angle arithmetic, so every symbol's
-/// contribution to every native angle is tracked exactly. Conservative by
-/// construction: a rotation whose angle depends on a symbol is never
-/// dropped or fused away unless the dependence provably cancels.
+/// skeleton (neither pass reads angles), then native decomposition and the
+/// peephole on affine angles, so every symbol's contribution to every
+/// native angle is tracked exactly. Conservative by construction: a
+/// rotation whose angle depends on a symbol is never dropped or fused away
+/// unless the dependence provably cancels.
+///
+/// There is one lowering implementation: a plain compile is its
+/// zero-symbol case. For a circuit with no symbols, compile_template(c).base
+/// is bit-identical to compile(c.bind({})) in ops, qubits, angle bits,
+/// layout, pass trace, per-pass gate counts and swap count.
 CompiledTemplate compile_template(const circuit::ParametricCircuit& circuit,
                                   const qdmi::DeviceInterface& device,
                                   const CompilerOptions& options = {});

@@ -123,8 +123,9 @@ Matrix2 gate_rz(double theta) {
 Matrix2 gate_u(double theta, double phi, double lambda) {
   const double c = std::cos(theta / 2.0);
   const double s = std::sin(theta / 2.0);
-  return {Complex{c, 0}, -std::polar(s, lambda), std::polar(s, phi),
-          std::polar(c, phi + lambda)};
+  // s or c may be negative; std::polar requires a magnitude >= 0.
+  return {Complex{c, 0}, -(s * std::polar(1.0, lambda)),
+          s * std::polar(1.0, phi), c * std::polar(1.0, phi + lambda)};
 }
 
 Matrix2 gate_prx(double theta, double phi) {
@@ -132,8 +133,8 @@ Matrix2 gate_prx(double theta, double phi) {
   const double s = std::sin(theta / 2.0);
   // RZ(phi) RX(theta) RZ(-phi) up to global phase:
   // [[cos, -i e^{-i phi} sin], [-i e^{i phi} sin, cos]]
-  return {Complex{c, 0}, -kImag * std::polar(s, -phi),
-          -kImag * std::polar(s, phi), Complex{c, 0}};
+  return {Complex{c, 0}, -kImag * (s * std::polar(1.0, -phi)),
+          -kImag * (s * std::polar(1.0, phi)), Complex{c, 0}};
 }
 
 Matrix4 gate_cz() {

@@ -12,25 +12,6 @@
 
 namespace hpcqc::verify {
 
-mqss::CompiledProgram run_pipeline(const mqss::PassManager& pipeline,
-                                   const circuit::Circuit& circuit,
-                                   const qdmi::DeviceInterface& device) {
-  expects(circuit.num_qubits() <= device.num_qubits(),
-          "run_pipeline: circuit does not fit the device");
-  mqss::CompilationUnit unit;
-  unit.circuit = circuit;
-  unit.dialect = mqss::Dialect::kCore;
-  pipeline.run(unit, device);
-
-  mqss::CompiledProgram program;
-  program.native_circuit = std::move(unit.circuit);
-  program.initial_layout = std::move(unit.layout);
-  program.pass_trace = std::move(unit.trace);
-  program.native_gate_count = program.native_circuit.gate_count();
-  program.swap_count = unit.swaps_inserted;
-  return program;
-}
-
 CompileFn standard_compile(const qdmi::DeviceInterface& device,
                            const mqss::CompilerOptions& options) {
   return [&device, options](const circuit::Circuit& circuit) {

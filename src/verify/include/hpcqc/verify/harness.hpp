@@ -17,17 +17,11 @@
 namespace hpcqc::verify {
 
 /// How a fuzz case compiles a circuit. Wrapping compilation in a callback
-/// lets the harness drive custom pipelines — including deliberately broken
-/// passes (mutation checks) — not just mqss::compile.
+/// lets the harness drive custom pipelines (mqss::PassManager::compile) —
+/// including deliberately broken passes (mutation checks) — not just
+/// mqss::compile.
 using CompileFn =
     std::function<mqss::CompiledProgram(const circuit::Circuit&)>;
-
-/// Runs an explicit PassManager the way mqss::compile runs the standard
-/// pipeline, producing the same artifact (exposed so tests can splice
-/// broken or ablated passes into the pipeline).
-mqss::CompiledProgram run_pipeline(const mqss::PassManager& pipeline,
-                                   const circuit::Circuit& circuit,
-                                   const qdmi::DeviceInterface& device);
 
 /// A CompileFn for the standard pipeline against `device` (which must
 /// outlive the returned callable).

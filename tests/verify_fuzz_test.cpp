@@ -2,7 +2,8 @@
 // compiler option combination must stay layout-aware unitary-equivalent to
 // their source. Also the harness's mutation check — a deliberately broken
 // routing pass must be caught by the oracle and shrunk to a minimal
-// counterexample — and bit-identical replay across OpenMP thread counts.
+// counterexample — bit-identical replay across OpenMP thread counts, and
+// bit identity of every native-lowering entry point against compile().
 //
 // Seed budget: 25 seeds per option set (8 sets = 200 seeds) by default;
 // nightly CI raises it via HPCQC_FUZZ_SEEDS (seeds per option set).
@@ -11,13 +12,16 @@
 #include <omp.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "hpcqc/common/sim_clock.hpp"
 #include "hpcqc/device/presets.hpp"
 #include "hpcqc/mqss/compiler.hpp"
+#include "hpcqc/mqss/template.hpp"
 #include "hpcqc/qdmi/model_device.hpp"
 #include "hpcqc/verify/harness.hpp"
 
@@ -68,6 +72,47 @@ private:
   }
 };
 
+/// `circuit` as a template whose every angle is a literal: no symbols.
+circuit::ParametricCircuit literal_template(const circuit::Circuit& circuit) {
+  circuit::ParametricCircuit result(circuit.num_qubits());
+  for (const auto& op : circuit.ops()) {
+    circuit::ParametricOperation lifted{op.kind, op.qubits, {}};
+    for (const double value : op.params)
+      lifted.params.push_back(circuit::ParamExpr::literal(value));
+    result.append(std::move(lifted));
+  }
+  return result;
+}
+
+/// Field-by-field identity of two compiled programs. Angles compare by
+/// memcmp, so 0.0 against -0.0 or a last-bit difference is a mismatch.
+::testing::AssertionResult bit_identical(const mqss::CompiledProgram& a,
+                                         const mqss::CompiledProgram& b) {
+  if (a.initial_layout != b.initial_layout || a.pass_trace != b.pass_trace ||
+      a.pass_gate_counts != b.pass_gate_counts ||
+      a.native_gate_count != b.native_gate_count ||
+      a.swap_count != b.swap_count)
+    return ::testing::AssertionFailure() << "bookkeeping differs";
+  const auto& ops_a = a.native_circuit.ops();
+  const auto& ops_b = b.native_circuit.ops();
+  if (a.native_circuit.num_qubits() != b.native_circuit.num_qubits() ||
+      ops_a.size() != ops_b.size())
+    return ::testing::AssertionFailure() << "circuit shape differs";
+  for (std::size_t i = 0; i < ops_a.size(); ++i) {
+    const auto& x = ops_a[i];
+    const auto& y = ops_b[i];
+    if (x.kind != y.kind || x.qubits != y.qubits ||
+        x.params.size() != y.params.size() ||
+        (!x.params.empty() &&
+         std::memcmp(x.params.data(), y.params.data(),
+                     x.params.size() * sizeof(double)) != 0))
+      return ::testing::AssertionFailure()
+             << "op " << i << ": " << circuit::to_string(x) << " vs "
+             << circuit::to_string(y);
+  }
+  return ::testing::AssertionSuccess();
+}
+
 class FuzzTest : public ::testing::Test {
 protected:
   FuzzTest()
@@ -111,6 +156,53 @@ TEST_F(FuzzTest, StandardPipelineSurvivesEveryOptionCombination) {
   EXPECT_GE(total_seeds, 8 * per_config);
 }
 
+TEST_F(FuzzTest, EveryLoweringEntryPointIsBitIdenticalToCompile) {
+  // One lowering implementation: a hand-run standard pipeline and the
+  // structure phase on a literal-only template must both reproduce
+  // compile() bit for bit, for every option combination, on the fuzz grid
+  // and on IQM-20 (up to 16 qubits and 200 ops, so routing is exercised).
+  Rng iqm20_rng(5);
+  device::DeviceModel iqm20 = device::make_iqm20(iqm20_rng);
+  const qdmi::ModelBackedDevice iqm20_qdmi(iqm20, clock_);
+  FuzzerConfig wide;
+  wide.max_qubits = 16;
+  wide.max_ops = 200;
+  const std::pair<const qdmi::DeviceInterface*, CircuitFuzzer> targets[] = {
+      {&qdmi_, CircuitFuzzer()}, {&iqm20_qdmi, CircuitFuzzer(wide)}};
+
+  const std::size_t per_config = seeds_per_config();
+  std::size_t swaps = 0;
+  for (const auto& [target, fuzzer] : targets) {
+    std::uint64_t seed = 0;
+    for (const auto placement : {mqss::PlacementStrategy::kStatic,
+                                 mqss::PlacementStrategy::kFidelityAware}) {
+      for (const bool optimize : {false, true}) {
+        for (const bool fidelity_routing : {false, true}) {
+          const mqss::CompilerOptions options{placement, optimize,
+                                              fidelity_routing};
+          for (std::size_t i = 0; i < per_config; ++i, ++seed) {
+            const circuit::Circuit source = fuzzer.generate(seed);
+            const mqss::CompiledProgram reference =
+                mqss::compile(source, *target, options);
+            swaps += reference.swap_count;
+            EXPECT_TRUE(bit_identical(
+                mqss::standard_pipeline(options).compile(source, *target),
+                reference))
+                << target->name() << " seed " << seed << " pipeline";
+            EXPECT_TRUE(bit_identical(
+                mqss::compile_template(literal_template(source), *target,
+                                       options)
+                    .base,
+                reference))
+                << target->name() << " seed " << seed << " template";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(swaps, 0u);
+}
+
 TEST_F(FuzzTest, ReportIsBitIdenticalAcrossThreadCounts) {
   const CircuitFuzzer fuzzer;
   const auto run_once = [&] {
@@ -146,7 +238,7 @@ TEST_F(FuzzTest, BrokenRoutingIsCaughtAndShrunk) {
         mqss::PlacementStrategy::kStatic));
     pipeline.add(std::make_unique<BrokenRoutingPass>());
     pipeline.add(std::make_unique<mqss::NativeDecompositionPass>());
-    return run_pipeline(pipeline, circuit, qdmi_);
+    return pipeline.compile(circuit, qdmi_);
   };
 
   const auto report = run_equivalence_fuzz(fuzzer, 100, 60, broken);
