@@ -35,7 +35,7 @@ void BM_Apply1q(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(sv.dimension()));
 }
-BENCHMARK(BM_Apply1q)->Arg(10)->Arg(16)->Arg(20)->Arg(24);
+BENCHMARK(BM_Apply1q)->Arg(12)->Arg(14)->Arg(16)->Arg(20);
 
 void BM_Apply2q(benchmark::State& state) {
   qsim::StateVector sv(static_cast<int>(state.range(0)));
@@ -49,17 +49,18 @@ void BM_Apply2q(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(sv.dimension()));
 }
-BENCHMARK(BM_Apply2q)->Arg(10)->Arg(16)->Arg(20);
+BENCHMARK(BM_Apply2q)->Arg(12)->Arg(14)->Arg(16)->Arg(20);
 
 void BM_CphaseFastPath(benchmark::State& state) {
-  qsim::StateVector sv(20);
+  qsim::StateVector sv(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     sv.apply_cphase(0.5, 3, 11);
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) * (1 << 20));
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(sv.dimension()));
 }
-BENCHMARK(BM_CphaseFastPath);
+BENCHMARK(BM_CphaseFastPath)->Arg(12)->Arg(14)->Arg(16)->Arg(20);
 
 void BM_GhzStatePreparation(benchmark::State& state) {
   const auto circuit =

@@ -251,17 +251,7 @@ void CompiledProgram::run(qsim::StateVector& state, Rng& rng) const {
 }
 
 void CompiledProgram::run_ideal(qsim::StateVector& state) const {
-  for (const auto& op : ops_) {
-    switch (op.kind) {
-      case CompiledOp::Kind::kFused1q: state.apply_1q(op.m2, op.q0); break;
-      case CompiledOp::Kind::kCphase:
-        state.apply_cphase(op.theta, op.q0, op.q1);
-        break;
-      case CompiledOp::Kind::kDense2q:
-        state.apply_2q(op.m4, op.q0, op.q1);
-        break;
-    }
-  }
+  for (std::size_t i = 0; i < ops_.size(); ++i) apply_step(state, i);
 }
 
 }  // namespace hpcqc::device

@@ -6,6 +6,7 @@
 
 #include "hpcqc/circuit/execute.hpp"
 #include "hpcqc/common/error.hpp"
+#include "hpcqc/common/parallel.hpp"
 #include "hpcqc/device/compiled_program.hpp"
 #include "hpcqc/qsim/state_vector.hpp"
 
@@ -311,8 +312,7 @@ ExecutionResult DeviceModel::execute(const circuit::Circuit& circuit,
     // A std::mutex (not `omp critical`) guards the merge so ThreadSanitizer
     // can see the lock (libgomp's critical locks are invisible to it).
     std::mutex merge_mutex;
-#pragma omp parallel if (shots > 1)
-    {
+    parallel_region(shots > 1, [&] {
       qsim::StateVector state(program.dense_qubits());
       qsim::Counts local;
 #pragma omp for schedule(dynamic)
@@ -345,7 +345,7 @@ ExecutionResult DeviceModel::execute(const circuit::Circuit& circuit,
         const std::lock_guard<std::mutex> lock(merge_mutex);
         result.counts.merge(local);
       }
-    }
+    });
     if (observer != nullptr) {
       // Batch progress is derived from the serially pre-drawn realizations
       // and emitted here, after the parallel region, in batch order — so

@@ -4,13 +4,37 @@
 #include <bit>
 #include <cmath>
 
+#include "gate_kernels.hpp"
 #include "hpcqc/common/error.hpp"
+#include "hpcqc/common/parallel.hpp"
 
 namespace hpcqc::qsim {
 
 namespace {
 // Below this state size the OpenMP fork costs more than the loop.
 constexpr std::uint64_t kParallelThreshold = std::uint64_t{1} << 14;
+
+// Runs a gate kernel over work items [0, items) of a `dim`-amplitude
+// state: serially below kParallelThreshold, otherwise in fixed chunks
+// across the OpenMP threads. Each work item is computed by the same
+// formula however the range is split, so the state does not depend on
+// the thread count.
+template <class Kernel>
+void for_chunks(std::uint64_t items, std::uint64_t dim, const Kernel& kernel) {
+  if (dim < kParallelThreshold) {
+    kernel(0, items);
+    return;
+  }
+  constexpr std::uint64_t kChunk = 1024;
+  const auto chunks = static_cast<std::int64_t>((items + kChunk - 1) / kChunk);
+  parallel_region(true, [&] {
+#pragma omp for schedule(static)
+    for (std::int64_t c = 0; c < chunks; ++c) {
+      const std::uint64_t begin = static_cast<std::uint64_t>(c) * kChunk;
+      kernel(begin, std::min(items, begin + kChunk));
+    }
+  });
+}
 }  // namespace
 
 StateVector::StateVector(int num_qubits) : num_qubits_(num_qubits) {
@@ -32,53 +56,12 @@ void StateVector::reset() {
 
 void StateVector::apply_1q(const Matrix2& u, int qubit) {
   expects(qubit >= 0 && qubit < num_qubits_, "apply_1q: qubit out of range");
-  const std::uint64_t stride = std::uint64_t{1} << qubit;
-  const std::uint64_t dim = dimension();
-  const std::int64_t pairs = static_cast<std::int64_t>(dim >> 1);
-
-  // The kernels below spell the complex arithmetic out over doubles:
-  // std::complex operator* blocks vectorization at this optimization
-  // level, and the gate kernels are the hot loops of the digital twin.
+  const auto& k = kernels::active_kernels();
   double* a = reinterpret_cast<double*>(amps_.data());
-
-  // Diagonal fast path (rz / z / s / t and their fusions): no pairing,
-  // one multiply per amplitude, half the memory traffic.
-  if (u[1] == Complex{0.0, 0.0} && u[2] == Complex{0.0, 0.0}) {
-    const double d0r = u[0].real();
-    const double d0i = u[0].imag();
-    const double d1r = u[3].real();
-    const double d1i = u[3].imag();
-#pragma omp parallel for if (dim >= kParallelThreshold) schedule(static)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
-      const auto idx = static_cast<std::uint64_t>(i);
-      const double dr = (idx & stride) ? d1r : d0r;
-      const double di = (idx & stride) ? d1i : d0i;
-      const double re = a[2 * idx];
-      const double im = a[2 * idx + 1];
-      a[2 * idx] = dr * re - di * im;
-      a[2 * idx + 1] = dr * im + di * re;
-    }
-    return;
-  }
-
-  const double u0r = u[0].real(), u0i = u[0].imag();
-  const double u1r = u[1].real(), u1i = u[1].imag();
-  const double u2r = u[2].real(), u2i = u[2].imag();
-  const double u3r = u[3].real(), u3i = u[3].imag();
-#pragma omp parallel for if (dim >= kParallelThreshold) schedule(static)
-  for (std::int64_t k = 0; k < pairs; ++k) {
-    // Index of the amplitude with the target bit clear.
-    const auto kk = static_cast<std::uint64_t>(k);
-    const std::uint64_t i0 =
-        (((kk & ~(stride - 1)) << 1) | (kk & (stride - 1))) * 2;
-    const std::uint64_t i1 = i0 + stride * 2;
-    const double lr = a[i0], li = a[i0 + 1];
-    const double hr = a[i1], hi = a[i1 + 1];
-    a[i0] = (u0r * lr - u0i * li) + (u1r * hr - u1i * hi);
-    a[i0 + 1] = (u0r * li + u0i * lr) + (u1r * hi + u1i * hr);
-    a[i1] = (u2r * lr - u2i * li) + (u3r * hr - u3i * hi);
-    a[i1 + 1] = (u2r * li + u2i * lr) + (u3r * hi + u3i * hr);
-  }
+  for_chunks(dimension() >> 1, dimension(),
+             [&](std::uint64_t begin, std::uint64_t end) {
+               k.apply_1q(a, u, qubit, begin, end);
+             });
 }
 
 void StateVector::apply_2q(const Matrix4& u, int qubit0, int qubit1) {
@@ -86,73 +69,25 @@ void StateVector::apply_2q(const Matrix4& u, int qubit0, int qubit1) {
               qubit1 < num_qubits_,
           "apply_2q: qubit out of range");
   expects(qubit0 != qubit1, "apply_2q: qubits must differ");
-  const std::uint64_t s0 = std::uint64_t{1} << qubit0;
-  const std::uint64_t s1 = std::uint64_t{1} << qubit1;
-  const std::uint64_t lo_stride = std::min(s0, s1);
-  const std::uint64_t hi_stride = std::max(s0, s1);
-  const std::uint64_t dim = dimension();
-  const std::int64_t groups = static_cast<std::int64_t>(dim >> 2);
+  const auto& k = kernels::active_kernels();
   double* a = reinterpret_cast<double*>(amps_.data());
-
-  // Split the matrix into real/imag planes once; the group loop then runs
-  // entirely on doubles (see apply_1q for why).
-  double ur[16];
-  double ui[16];
-  for (int e = 0; e < 16; ++e) {
-    ur[e] = u[static_cast<std::size_t>(e)].real();
-    ui[e] = u[static_cast<std::size_t>(e)].imag();
-  }
-
-#pragma omp parallel for if (dim >= kParallelThreshold) schedule(static)
-  for (std::int64_t g = 0; g < groups; ++g) {
-    // Expand the group index into a base index with both target bits clear:
-    // split g into (low | mid | top) around the two strides and shift the
-    // mid/top parts up by one bit each.
-    const auto gg = static_cast<std::uint64_t>(g);
-    const std::uint64_t rest = gg / lo_stride;
-    const std::uint64_t mid_combos = hi_stride / lo_stride / 2;
-    std::uint64_t base = gg & (lo_stride - 1);
-    base |= (rest % mid_combos) * (lo_stride * 2);
-    base |= (rest / mid_combos) * (hi_stride * 2);
-
-    // Matrix basis |q1 q0>: index = 2*q1 + q0.
-    const std::uint64_t idx[4] = {base, base | s0, base | s1,
-                                  base | s0 | s1};
-    double vr[4];
-    double vi[4];
-    for (int col = 0; col < 4; ++col) {
-      vr[col] = a[2 * idx[col]];
-      vi[col] = a[2 * idx[col] + 1];
-    }
-    for (int row = 0; row < 4; ++row) {
-      double re = 0.0;
-      double im = 0.0;
-      for (int col = 0; col < 4; ++col) {
-        const double er = ur[4 * row + col];
-        const double ei = ui[4 * row + col];
-        re += er * vr[col] - ei * vi[col];
-        im += er * vi[col] + ei * vr[col];
-      }
-      a[2 * idx[row]] = re;
-      a[2 * idx[row] + 1] = im;
-    }
-  }
+  for_chunks(dimension() >> 2, dimension(),
+             [&](std::uint64_t begin, std::uint64_t end) {
+               k.apply_2q(a, u, qubit0, qubit1, begin, end);
+             });
 }
 
 void StateVector::apply_cphase(double theta, int qubit0, int qubit1) {
   expects(qubit0 >= 0 && qubit0 < num_qubits_ && qubit1 >= 0 &&
               qubit1 < num_qubits_ && qubit0 != qubit1,
           "apply_cphase: invalid qubits");
-  const std::uint64_t mask =
-      (std::uint64_t{1} << qubit0) | (std::uint64_t{1} << qubit1);
   const Complex phase = std::polar(1.0, theta);
-  const std::uint64_t dim = dimension();
-  Complex* a = amps_.data();
-#pragma omp parallel for if (dim >= kParallelThreshold) schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
-    const auto idx = static_cast<std::uint64_t>(i);
-    if ((idx & mask) == mask) a[idx] *= phase;
-  }
+  const auto& k = kernels::active_kernels();
+  double* a = reinterpret_cast<double*>(amps_.data());
+  for_chunks(dimension() >> 2, dimension(),
+             [&](std::uint64_t begin, std::uint64_t end) {
+               k.apply_cphase(a, phase, qubit0, qubit1, begin, end);
+             });
 }
 
 double StateVector::norm() const {
