@@ -4,7 +4,8 @@
 //
 // Expected shape: a WAL append is a CRC over a few hundred bytes plus a
 // memcpy — nanoseconds-to-microseconds, far below any admission decision it
-// guards. Snapshot encode is linear in live records. Recovery replay is
+// guards. A journaled submission adds the binary encoding of the job's
+// circuit, linear in its op count. Snapshot encode is linear in live records. Recovery replay is
 // linear in journal length (scan + decode + apply per event), which is why
 // the checkpointer truncates replayed segments: the journal a crash must
 // replay stays bounded by the snapshot cadence, not the campaign length.
@@ -22,6 +23,7 @@
 #include "hpcqc/device/presets.hpp"
 #include "hpcqc/sched/durable.hpp"
 #include "hpcqc/sched/qrm.hpp"
+#include "hpcqc/sched/workload.hpp"
 #include "hpcqc/store/journal.hpp"
 #include "hpcqc/store/recovery.hpp"
 #include "hpcqc/store/snapshot.hpp"
@@ -127,6 +129,39 @@ BENCHMARK(BM_WalAppend)
     ->Arg(64)
     ->Arg(512)
     ->Arg(4096)
+    ->Iterations(20000)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_JournalSubmitEvent(benchmark::State& state) {
+  // What the journal pays per submission: encoding a kSubmitted event that
+  // carries a 12-qubit, 8-layer brickwork job, plus its framed append.
+  Rng rng(14);
+  device::DeviceModel device = device::make_iqm20(rng);
+  sched::QuantumJob job;
+  job.name = "brickwork-12x8";
+  job.project = "bench";
+  job.shots = 1000;
+  job.circuit = sched::chain_brickwork_circuit(device, 12, 8, rng);
+  sched::QuantumJobRecord record;
+  record.id = 1;
+  record.name = job.name;
+  record.shots = job.shots;
+  sched::JobEvent event;
+  event.kind = sched::JobEvent::Kind::kSubmitted;
+  event.id = record.id;
+  event.job = &job;
+  event.record = &record;
+
+  store::MemoryWalBackend backend;
+  store::Wal wal(backend);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        wal.append(static_cast<std::uint8_t>(store::RecordType::kJobEvent),
+                   store::encode_job_event(event)));
+  state.counters["event_bytes"] =
+      static_cast<double>(store::encode_job_event(event).size());
+}
+BENCHMARK(BM_JournalSubmitEvent)
     ->Iterations(20000)
     ->Unit(benchmark::kMicrosecond);
 

@@ -3,6 +3,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace hpcqc {
 
@@ -143,16 +144,19 @@ inline const char* to_string(ErrorCode code) {
   return "?";
 }
 
+// The checks below take a string_view so that a literal message costs
+// nothing until the check fails; they sit on per-op and per-event paths.
+
 /// Throws PreconditionError with `message` unless `condition` holds.
-inline void expects(bool condition, const std::string& message,
+inline void expects(bool condition, std::string_view message,
                     std::source_location loc = std::source_location::current()) {
-  if (!condition) throw PreconditionError(message, loc);
+  if (!condition) throw PreconditionError(std::string(message), loc);
 }
 
 /// Throws StateError with `message` unless `condition` holds.
-inline void ensure_state(bool condition, const std::string& message,
+inline void ensure_state(bool condition, std::string_view message,
                          std::source_location loc = std::source_location::current()) {
-  if (!condition) throw StateError(message, loc);
+  if (!condition) throw StateError(std::string(message), loc);
 }
 
 }  // namespace hpcqc

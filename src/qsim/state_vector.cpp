@@ -94,10 +94,11 @@ double StateVector::norm() const {
   double acc = 0.0;
   const std::uint64_t dim = dimension();
   const Complex* a = amps_.data();
-#pragma omp parallel for if (dim >= kParallelThreshold) reduction(+ : acc) \
-    schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i)
-    acc += std::norm(a[i]);
+  parallel_region(dim >= kParallelThreshold, [&] {
+#pragma omp for reduction(+ : acc) schedule(static)
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i)
+      acc += std::norm(a[i]);
+  });
   return std::sqrt(acc);
 }
 
@@ -107,9 +108,11 @@ void StateVector::normalize() {
   const double inv = 1.0 / n;
   const std::uint64_t dim = dimension();
   Complex* a = amps_.data();
-#pragma omp parallel for if (dim >= kParallelThreshold) schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i)
-    a[i] *= inv;
+  parallel_region(dim >= kParallelThreshold, [&] {
+#pragma omp for schedule(static)
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i)
+      a[i] *= inv;
+  });
 }
 
 double StateVector::probability_one(int qubit) const {
@@ -119,10 +122,11 @@ double StateVector::probability_one(int qubit) const {
   const std::uint64_t dim = dimension();
   const Complex* a = amps_.data();
   double acc = 0.0;
-#pragma omp parallel for if (dim >= kParallelThreshold) reduction(+ : acc) \
-    schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i)
-    if (static_cast<std::uint64_t>(i) & bit) acc += std::norm(a[i]);
+  parallel_region(dim >= kParallelThreshold, [&] {
+#pragma omp for reduction(+ : acc) schedule(static)
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i)
+      if (static_cast<std::uint64_t>(i) & bit) acc += std::norm(a[i]);
+  });
   return acc;
 }
 
@@ -131,9 +135,11 @@ std::vector<double> StateVector::probabilities() const {
   std::vector<double> probs(dim);
   const Complex* a = amps_.data();
   double* p = probs.data();
-#pragma omp parallel for if (dim >= kParallelThreshold) schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i)
-    p[i] = std::norm(a[i]);
+  parallel_region(dim >= kParallelThreshold, [&] {
+#pragma omp for schedule(static)
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i)
+      p[i] = std::norm(a[i]);
+  });
   return probs;
 }
 
@@ -143,11 +149,13 @@ int StateVector::measure(int qubit, Rng& rng) {
   const std::uint64_t bit = std::uint64_t{1} << qubit;
   const std::uint64_t dim = dimension();
   Complex* a = amps_.data();
-#pragma omp parallel for if (dim >= kParallelThreshold) schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
-    const bool is_one = (static_cast<std::uint64_t>(i) & bit) != 0;
-    if (is_one != (outcome == 1)) a[i] = Complex{0.0, 0.0};
-  }
+  parallel_region(dim >= kParallelThreshold, [&] {
+#pragma omp for schedule(static)
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
+      const bool is_one = (static_cast<std::uint64_t>(i) & bit) != 0;
+      if (is_one != (outcome == 1)) a[i] = Complex{0.0, 0.0};
+    }
+  });
   normalize();
   return outcome;
 }
@@ -203,13 +211,14 @@ double StateVector::expectation_z(std::uint64_t mask) const {
   const std::uint64_t dim = dimension();
   const Complex* a = amps_.data();
   double acc = 0.0;
-#pragma omp parallel for if (dim >= kParallelThreshold) reduction(+ : acc) \
-    schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
-    const int parity =
-        std::popcount(static_cast<std::uint64_t>(i) & mask) & 1;
-    acc += (parity ? -1.0 : 1.0) * std::norm(a[i]);
-  }
+  parallel_region(dim >= kParallelThreshold, [&] {
+#pragma omp for reduction(+ : acc) schedule(static)
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
+      const int parity =
+          std::popcount(static_cast<std::uint64_t>(i) & mask) & 1;
+      acc += (parity ? -1.0 : 1.0) * std::norm(a[i]);
+    }
+  });
   return acc;
 }
 
@@ -223,16 +232,26 @@ Complex StateVector::inner_product(const StateVector& other) const {
   const std::uint64_t dim = dimension();
   const Complex* a = amps_.data();
   const Complex* b = other.amps_.data();
-  // OpenMP has no portable std::complex reduction — reduce the parts.
+  // OpenMP has no portable std::complex reduction — reduce the parts. The
+  // per-thread sums are combined by hand with one atomic add each: GCC
+  // combines a two-variable reduction clause under libgomp's internal lock,
+  // which ThreadSanitizer cannot see, so it would report a false race.
   double re = 0.0;
   double im = 0.0;
-#pragma omp parallel for if (dim >= kParallelThreshold) \
-    reduction(+ : re, im) schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
-    const Complex term = std::conj(a[i]) * b[i];
-    re += term.real();
-    im += term.imag();
-  }
+  parallel_region(dim >= kParallelThreshold, [&] {
+    double re_part = 0.0;
+    double im_part = 0.0;
+#pragma omp for schedule(static)
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
+      const Complex term = std::conj(a[i]) * b[i];
+      re_part += term.real();
+      im_part += term.imag();
+    }
+#pragma omp atomic
+    re += re_part;
+#pragma omp atomic
+    im += im_part;
+  });
   return Complex{re, im};
 }
 

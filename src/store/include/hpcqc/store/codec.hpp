@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,13 +17,13 @@ namespace hpcqc::store {
 /// bit-identically on any other.
 class ByteWriter {
 public:
+  ByteWriter() = default;
+  /// Starts with room for `capacity` bytes.
+  explicit ByteWriter(std::size_t capacity) { buf_.reserve(capacity); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { little_endian<4>(v); }
+  void u64(std::uint64_t v) { little_endian<8>(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
@@ -30,11 +31,22 @@ public:
     u32(static_cast<std::uint32_t>(s.size()));
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
+  /// Raw bytes, no length prefix.
+  void bytes(const std::uint8_t* data, std::size_t size) {
+    buf_.insert(buf_.end(), data, data + size);
+  }
 
   const std::vector<std::uint8_t>& data() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
 private:
+  template <int N>
+  void little_endian(std::uint64_t v) {
+    std::uint8_t b[N];
+    for (int i = 0; i < N; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    buf_.insert(buf_.end(), b, b + N);
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -44,7 +56,7 @@ class ByteReader {
 public:
   ByteReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
-  explicit ByteReader(const std::vector<std::uint8_t>& bytes)
+  explicit ByteReader(std::span<const std::uint8_t> bytes)
       : data_(bytes.data()), size_(bytes.size()) {}
 
   std::uint8_t u8() {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,16 +55,18 @@ struct FleetEventRecord {
 
 // Payload codecs (also reused by snapshots). Parametric payloads are
 // serialized structurally (ops + binding) and the concrete circuit is
-// re-bound at decode; plain circuits travel as qasm-lite text.
+// re-bound at decode; plain circuits travel as binary ops (u8 kind, i32
+// qubits, raw f64 params) and are rebuilt through Circuit::append, so a
+// malformed op throws instead of decoding.
 void encode_job(class ByteWriter& out, const sched::QuantumJob& job);
 sched::QuantumJob decode_job(class ByteReader& in);
 void encode_record(class ByteWriter& out, const sched::QuantumJobRecord& rec);
 sched::QuantumJobRecord decode_record(class ByteReader& in);
 
 std::vector<std::uint8_t> encode_job_event(const sched::JobEvent& event);
-JobEventRecord decode_job_event(const std::vector<std::uint8_t>& payload);
+JobEventRecord decode_job_event(std::span<const std::uint8_t> payload);
 std::vector<std::uint8_t> encode_fleet_event(const sched::FleetEvent& event);
-FleetEventRecord decode_fleet_event(const std::vector<std::uint8_t>& payload);
+FleetEventRecord decode_fleet_event(std::span<const std::uint8_t> payload);
 
 /// The JournalSink that writes every Qrm/Fleet lifecycle event into a Wal —
 /// the write-ahead half of the durability story. Attach via

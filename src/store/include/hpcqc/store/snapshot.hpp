@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hpcqc/obs/metrics.hpp"
@@ -20,12 +21,12 @@ std::vector<std::uint8_t> encode_snapshot(
 /// Scope of an encoded snapshot without a full decode; throws ParseError on
 /// a bad magic/version.
 enum class SnapshotScope : std::uint8_t { kQrm = 1, kFleet = 2 };
-SnapshotScope snapshot_scope(const std::vector<std::uint8_t>& bytes);
+SnapshotScope snapshot_scope(std::span<const std::uint8_t> bytes);
 
 sched::QrmDurableState decode_qrm_snapshot(
-    const std::vector<std::uint8_t>& bytes);
+    std::span<const std::uint8_t> bytes);
 sched::FleetDurableState decode_fleet_snapshot(
-    const std::vector<std::uint8_t>& bytes);
+    std::span<const std::uint8_t> bytes);
 
 /// Checkpoints a durable image into the WAL on a simulated-clock cadence and
 /// truncates the replayed journal prefix: rotate first, write the snapshot

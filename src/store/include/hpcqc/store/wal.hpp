@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -9,17 +10,18 @@
 
 namespace hpcqc::store {
 
-/// IEEE CRC-32 (reflected, polynomial 0xEDB88320), table-driven. `seed`
+/// IEEE CRC-32 (reflected, polynomial 0xEDB88320), slice-by-8. `seed`
 /// chains partial computations; the canonical test vector "123456789"
 /// yields 0xCBF43926.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size,
                     std::uint32_t seed = 0);
 
-/// One decoded journal record.
+/// One decoded journal record; `payload` views the scanned bytes (see
+/// WalScan for how long).
 struct WalRecord {
   std::uint64_t lsn = 0;  ///< log sequence number, strictly increasing
   std::uint8_t type = 0;  ///< RecordType (see journal.hpp)
-  std::vector<std::uint8_t> payload;
+  std::span<const std::uint8_t> payload;
 };
 
 /// Storage behind a Wal: an ordered set of append-only segments. Exactly one
@@ -32,6 +34,11 @@ public:
   /// Segment ids, ascending.
   virtual std::vector<std::uint64_t> segments() const = 0;
   virtual std::vector<std::uint8_t> read_segment(std::uint64_t id) const = 0;
+  /// Segment `id` in place when the backend holds it in memory; otherwise
+  /// read into `buffer`. The view lasts until the backend changes or
+  /// `buffer` is reused.
+  virtual std::span<const std::uint8_t> view_segment(
+      std::uint64_t id, std::vector<std::uint8_t>& buffer) const;
   /// Creates (or truncates) segment `id` and makes it the append target.
   virtual void open_segment(std::uint64_t id) = 0;
   virtual void append(const std::uint8_t* data, std::size_t size) = 0;
@@ -45,6 +52,8 @@ class MemoryWalBackend final : public WalBackend {
 public:
   std::vector<std::uint64_t> segments() const override;
   std::vector<std::uint8_t> read_segment(std::uint64_t id) const override;
+  std::span<const std::uint8_t> view_segment(
+      std::uint64_t id, std::vector<std::uint8_t>& buffer) const override;
   void open_segment(std::uint64_t id) override;
   void append(const std::uint8_t* data, std::size_t size) override;
   void remove_segment(std::uint64_t id) override;
@@ -58,6 +67,8 @@ public:
   void clear();
 
 private:
+  const std::vector<std::uint8_t>& segment(std::uint64_t id) const;
+
   std::map<std::uint64_t, std::vector<std::uint8_t>> store_;
   std::uint64_t current_ = 0;
   bool has_current_ = false;
@@ -91,10 +102,22 @@ private:
 /// first bad frame (bad length, bad CRC, truncated header) — everything
 /// after it is untrusted, which is exactly the prefix-consistency a
 /// write-ahead log guarantees.
+///
+/// Payloads are not copied: they point into the backend's memory, or into
+/// `buffers` for segments read from storage, so a scan is valid until the
+/// backend changes. Move-only, because a copy's records would still point
+/// into the original's buffers.
 struct WalScan {
+  WalScan() = default;
+  WalScan(WalScan&&) = default;
+  WalScan& operator=(WalScan&&) = default;
+  WalScan(const WalScan&) = delete;
+  WalScan& operator=(const WalScan&) = delete;
+
   std::vector<WalRecord> records;
   std::size_t dropped_bytes = 0;
   bool torn = false;
+  std::vector<std::vector<std::uint8_t>> buffers;
 };
 
 /// Write-ahead log over a backend: CRC32-framed, length-prefixed records

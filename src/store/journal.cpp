@@ -1,9 +1,9 @@
 #include "hpcqc/store/journal.hpp"
 
+#include <algorithm>
 #include <memory>
 
 #include "hpcqc/circuit/parametric.hpp"
-#include "hpcqc/circuit/text.hpp"
 #include "hpcqc/store/codec.hpp"
 
 namespace hpcqc::store {
@@ -41,14 +41,57 @@ circuit::ParamExpr decode_param(ByteReader& in) {
   return circuit::ParamExpr::symbol(std::move(name), coefficient, offset);
 }
 
+// Circuits are written op by op: a u8 kind, a u32-counted list of i32
+// qubits, then the u32-counted params (raw f64 for concrete circuits,
+// ParamExpr for parametric ones). Decoding rebuilds through `append`, so a
+// payload with a bad kind, operand count or qubit index throws.
+void encode_qubits(ByteWriter& out, const std::vector<int>& qubits) {
+  out.u32(static_cast<std::uint32_t>(qubits.size()));
+  for (const int q : qubits) out.i32(q);
+}
+
+std::vector<int> decode_qubits(ByteReader& in) {
+  const std::uint32_t n = in.u32();
+  std::vector<int> qubits;
+  // A corrupt count must not reserve more than the payload could hold.
+  qubits.reserve(std::min<std::size_t>(n, in.remaining() / 4));
+  for (std::uint32_t q = 0; q < n; ++q) qubits.push_back(in.i32());
+  return qubits;
+}
+
+void encode_circuit(ByteWriter& out, const circuit::Circuit& circuit) {
+  out.i32(circuit.num_qubits());
+  out.u32(static_cast<std::uint32_t>(circuit.ops().size()));
+  for (const circuit::Operation& op : circuit.ops()) {
+    out.u8(static_cast<std::uint8_t>(op.kind));
+    encode_qubits(out, op.qubits);
+    out.u32(static_cast<std::uint32_t>(op.params.size()));
+    for (const double p : op.params) out.f64(p);
+  }
+}
+
+circuit::Circuit decode_circuit(ByteReader& in) {
+  circuit::Circuit circuit(in.i32());
+  const std::uint32_t nops = in.u32();
+  for (std::uint32_t i = 0; i < nops; ++i) {
+    circuit::Operation op;
+    op.kind = static_cast<circuit::OpKind>(in.u8());
+    op.qubits = decode_qubits(in);
+    const std::uint32_t np = in.u32();
+    op.params.reserve(std::min<std::size_t>(np, in.remaining() / 8));
+    for (std::uint32_t p = 0; p < np; ++p) op.params.push_back(in.f64());
+    circuit.append(std::move(op));
+  }
+  return circuit;
+}
+
 void encode_parametric(ByteWriter& out,
                        const circuit::ParametricCircuit& circuit) {
   out.i32(circuit.num_qubits());
   out.u32(static_cast<std::uint32_t>(circuit.ops().size()));
   for (const circuit::ParametricOperation& op : circuit.ops()) {
     out.u8(static_cast<std::uint8_t>(op.kind));
-    out.u32(static_cast<std::uint32_t>(op.qubits.size()));
-    for (const int q : op.qubits) out.i32(q);
+    encode_qubits(out, op.qubits);
     out.u32(static_cast<std::uint32_t>(op.params.size()));
     for (const circuit::ParamExpr& p : op.params) encode_param(out, p);
   }
@@ -60,11 +103,8 @@ circuit::ParametricCircuit decode_parametric(ByteReader& in) {
   for (std::uint32_t i = 0; i < nops; ++i) {
     circuit::ParametricOperation op;
     op.kind = static_cast<circuit::OpKind>(in.u8());
-    const std::uint32_t nq = in.u32();
-    op.qubits.reserve(nq);
-    for (std::uint32_t q = 0; q < nq; ++q) op.qubits.push_back(in.i32());
+    op.qubits = decode_qubits(in);
     const std::uint32_t np = in.u32();
-    op.params.reserve(np);
     for (std::uint32_t p = 0; p < np; ++p) op.params.push_back(decode_param(in));
     circuit.append(std::move(op));
   }
@@ -90,7 +130,7 @@ void encode_job(ByteWriter& out, const sched::QuantumJob& job) {
       out.f64(value);
     }
   } else {
-    out.str(circuit::to_text(job.circuit));
+    encode_circuit(out, job.circuit);
   }
 }
 
@@ -116,7 +156,7 @@ sched::QuantumJob decode_job(ByteReader& in) {
     job.circuit = parametric->bind(job.binding);
     job.parametric = std::move(parametric);
   } else {
-    job.circuit = circuit::from_text(in.str());
+    job.circuit = decode_circuit(in);
   }
   return job;
 }
@@ -186,7 +226,7 @@ std::vector<std::uint8_t> encode_job_event(const sched::JobEvent& event) {
   return out.take();
 }
 
-JobEventRecord decode_job_event(const std::vector<std::uint8_t>& payload) {
+JobEventRecord decode_job_event(std::span<const std::uint8_t> payload) {
   ByteReader in(payload);
   JobEventRecord event;
   event.kind = static_cast<sched::JobEvent::Kind>(in.u8());
@@ -222,7 +262,7 @@ std::vector<std::uint8_t> encode_fleet_event(const sched::FleetEvent& event) {
   return out.take();
 }
 
-FleetEventRecord decode_fleet_event(const std::vector<std::uint8_t>& payload) {
+FleetEventRecord decode_fleet_event(std::span<const std::uint8_t> payload) {
   ByteReader in(payload);
   FleetEventRecord event;
   event.kind = static_cast<sched::FleetEvent::Kind>(in.u8());

@@ -11,7 +11,7 @@ namespace hpcqc::store {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x53445148u;  // "HQDS" little-endian
-constexpr std::uint8_t kVersion = 1;
+constexpr std::uint8_t kVersion = 2;
 
 void encode_qrm_body(ByteWriter& out, const sched::QrmDurableState& state) {
   out.f64(state.now);
@@ -72,16 +72,18 @@ sched::QrmDurableState decode_qrm_body(ByteReader& in) {
   for (std::uint32_t i = 0; i < nretry; ++i)
     state.retry_queue.push_back(in.i32());
 
+  // Maps are encoded in key order, so inserting at the end hint costs
+  // constant time per entry.
   const std::uint32_t nrecords = in.u32();
   for (std::uint32_t i = 0; i < nrecords; ++i) {
     sched::QuantumJobRecord record = decode_record(in);
     const int id = record.id;
-    state.records.emplace(id, std::move(record));
+    state.records.emplace_hint(state.records.end(), id, std::move(record));
   }
   const std::uint32_t npending = in.u32();
   for (std::uint32_t i = 0; i < npending; ++i) {
     const int id = in.i32();
-    state.pending.emplace(id, decode_job(in));
+    state.pending.emplace_hint(state.pending.end(), id, decode_job(in));
   }
 
   const std::uint32_t nletters = in.u32();
@@ -109,7 +111,8 @@ sched::QrmDurableState decode_qrm_body(ByteReader& in) {
     sched::TokenBucketState bucket;
     bucket.tokens = in.f64();
     bucket.last_refill = in.f64();
-    state.tenants.emplace(std::move(project), bucket);
+    state.tenants.emplace_hint(state.tenants.end(), std::move(project),
+                               bucket);
   }
 
   const std::uint32_t nmanifest = in.u32();
@@ -171,7 +174,7 @@ sched::FleetDurableState decode_fleet_body(ByteReader& in) {
       record.hops.emplace_back(device, local_id);
     }
     const int id = record.id;
-    state.records.emplace(id, std::move(record));
+    state.records.emplace_hint(state.records.end(), id, std::move(record));
   }
   const std::uint32_t ndevices = in.u32();
   state.devices.reserve(ndevices);
@@ -211,7 +214,7 @@ std::vector<std::uint8_t> encode_snapshot(
   return out.take();
 }
 
-SnapshotScope snapshot_scope(const std::vector<std::uint8_t>& bytes) {
+SnapshotScope snapshot_scope(std::span<const std::uint8_t> bytes) {
   ByteReader in(bytes);
   const std::uint8_t scope = check_header(in);
   expects(scope == 1 || scope == 2, "snapshot: bad scope byte");
@@ -219,7 +222,7 @@ SnapshotScope snapshot_scope(const std::vector<std::uint8_t>& bytes) {
 }
 
 sched::QrmDurableState decode_qrm_snapshot(
-    const std::vector<std::uint8_t>& bytes) {
+    std::span<const std::uint8_t> bytes) {
   ByteReader in(bytes);
   expects(check_header(in) == static_cast<std::uint8_t>(SnapshotScope::kQrm),
           "snapshot: not a qrm snapshot");
@@ -227,7 +230,7 @@ sched::QrmDurableState decode_qrm_snapshot(
 }
 
 sched::FleetDurableState decode_fleet_snapshot(
-    const std::vector<std::uint8_t>& bytes) {
+    std::span<const std::uint8_t> bytes) {
   ByteReader in(bytes);
   expects(
       check_header(in) == static_cast<std::uint8_t>(SnapshotScope::kFleet),

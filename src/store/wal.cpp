@@ -12,15 +12,23 @@ namespace hpcqc::store {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 tables: t[0] is the classic byte-wise table of the reflected
+// IEEE polynomial; t[k][i] is the CRC register after byte i followed by k
+// zero bytes, so eight input bytes fold into the register per step.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+  return t;
 }
 
 constexpr std::size_t kFrameHeader = 8;  ///< u32 len + u32 crc
@@ -29,11 +37,28 @@ constexpr std::size_t kFrameHeader = 8;  ///< u32 len + u32 crc
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size,
                     std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i)
-    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  std::size_t i = 0;
+  // Bytes are assembled explicitly, so the result does not depend on host
+  // endianness or on the alignment of `data`.
+  for (; size - i >= 8; i += 8) {
+    const std::uint8_t* p = data + i;
+    const std::uint32_t lo =
+        c ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+             std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+        t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; i < size; ++i) c = t[0][(c ^ data[i]) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+std::span<const std::uint8_t> WalBackend::view_segment(
+    std::uint64_t id, std::vector<std::uint8_t>& buffer) const {
+  buffer = read_segment(id);
+  return buffer;
 }
 
 // ---------------------------------------------------------------- memory --
@@ -45,12 +70,22 @@ std::vector<std::uint64_t> MemoryWalBackend::segments() const {
   return ids;
 }
 
-std::vector<std::uint8_t> MemoryWalBackend::read_segment(
+const std::vector<std::uint8_t>& MemoryWalBackend::segment(
     std::uint64_t id) const {
   const auto it = store_.find(id);
   if (it == store_.end())
     throw NotFoundError("MemoryWalBackend: no segment " + std::to_string(id));
   return it->second;
+}
+
+std::vector<std::uint8_t> MemoryWalBackend::read_segment(
+    std::uint64_t id) const {
+  return segment(id);
+}
+
+std::span<const std::uint8_t> MemoryWalBackend::view_segment(
+    std::uint64_t id, std::vector<std::uint8_t>& /*buffer*/) const {
+  return segment(id);
 }
 
 void MemoryWalBackend::open_segment(std::uint64_t id) {
@@ -206,12 +241,12 @@ Wal::Wal(WalBackend& backend, Config config, obs::MetricsRegistry* metrics)
 std::uint64_t Wal::append(std::uint8_t type,
                           const std::vector<std::uint8_t>& payload) {
   const std::uint64_t lsn = next_lsn_++;
-  ByteWriter frame;
+  ByteWriter frame(kFrameHeader + 9 + payload.size());
   frame.u32(static_cast<std::uint32_t>(9 + payload.size()));
   frame.u32(0);  // CRC placeholder, patched below
   frame.u64(lsn);
   frame.u8(type);
-  for (const std::uint8_t b : payload) frame.u8(b);
+  frame.bytes(payload.data(), payload.size());
   std::vector<std::uint8_t> bytes = frame.take();
   // CRC over the body (lsn + type + payload), patched into the header.
   const std::uint32_t crc =
@@ -259,7 +294,9 @@ WalScan Wal::scan(const WalBackend& backend) {
   bool stopped = false;
   std::size_t dropped = 0;
   for (const std::uint64_t id : backend.segments()) {
-    const std::vector<std::uint8_t> bytes = backend.read_segment(id);
+    std::vector<std::uint8_t> buffer;
+    const std::span<const std::uint8_t> bytes =
+        backend.view_segment(id, buffer);
     if (stopped) {
       // Prefix consistency: once a bad frame is found, everything after it
       // — including whole later segments — is untrusted.
@@ -287,12 +324,13 @@ WalScan Wal::scan(const WalBackend& backend) {
       WalRecord record;
       record.lsn = body.u64();
       record.type = body.u8();
-      record.payload.assign(bytes.data() + pos + kFrameHeader + 9,
-                            bytes.data() + pos + kFrameHeader + len);
-      result.records.push_back(std::move(record));
+      record.payload = bytes.subspan(pos + kFrameHeader + 9, len - 9);
+      result.records.push_back(record);
       pos += kFrameHeader + len;
     }
     if (stopped) dropped += bytes.size() - pos;
+    // Moving a vector keeps its storage, so the views taken above stay valid.
+    if (!buffer.empty()) result.buffers.push_back(std::move(buffer));
   }
   result.dropped_bytes = dropped;
   result.torn = stopped && dropped > 0;

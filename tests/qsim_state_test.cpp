@@ -2,6 +2,11 @@
 
 #include <cmath>
 #include <map>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "hpcqc/common/error.hpp"
 #include "hpcqc/qsim/counts.hpp"
@@ -161,6 +166,62 @@ TEST(StateVector, InnerProductAndFidelity) {
   b.apply_1q(gate_x(), 0);
   EXPECT_NEAR(std::abs(a.inner_product(b)), 0.0, 1e-15);
   EXPECT_NEAR(a.fidelity(a), 1.0, 1e-15);
+}
+
+TEST(StateVector, ReductionsAndSweepsAboveTheParallelThreshold) {
+  // 15 qubits is past the OpenMP threshold, so every whole-state sweep runs
+  // on a team: compare each against the closed form of a product state
+  // RY(theta_q)|0> per qubit.
+#ifdef _OPENMP
+  const int original = omp_get_max_threads();
+  omp_set_num_threads(4);
+#endif
+  constexpr int n = 15;
+  std::vector<double> theta(n);
+  StateVector state(n);
+  for (int q = 0; q < n; ++q) {
+    theta[static_cast<std::size_t>(q)] = 0.3 + 0.17 * q;
+    state.apply_1q(gate_ry(theta[static_cast<std::size_t>(q)]), q);
+  }
+  const auto p1 = [&](int q) {
+    return std::pow(std::sin(theta[static_cast<std::size_t>(q)] / 2.0), 2);
+  };
+
+  EXPECT_NEAR(state.norm(), 1.0, 1e-12);
+  for (const int q : {0, 7, 14})
+    EXPECT_NEAR(state.probability_one(q), p1(q), 1e-12);
+  const std::uint64_t mask = 0b101000000010011;
+  double z = 1.0;
+  for (int q = 0; q < n; ++q)
+    if ((mask >> q) & 1u) z *= std::cos(theta[static_cast<std::size_t>(q)]);
+  EXPECT_NEAR(state.expectation_z(mask), z, 1e-12);
+
+  const std::vector<double> probs = state.probabilities();
+  ASSERT_EQ(probs.size(), std::size_t{1} << n);
+  double total = 0.0;
+  for (const double p : probs) total += p;
+  EXPECT_NEAR(total, 1.0, 1e-12);
+  double last = 1.0;  // |11...1>
+  for (int q = 0; q < n; ++q) last *= p1(q);
+  EXPECT_NEAR(probs.back(), last, 1e-15);
+
+  const Complex self = state.inner_product(state);
+  EXPECT_NEAR(self.real(), 1.0, 1e-12);
+  EXPECT_NEAR(self.imag(), 0.0, 1e-12);
+  StateVector flipped = state;
+  flipped.apply_1q(gate_x(), 3);
+  // <psi|X_3|psi> = sin(theta_3) for RY(theta)|0>.
+  EXPECT_NEAR(state.inner_product(flipped).real(), std::sin(theta[3]), 1e-12);
+
+  // measure zeroes half the state and renormalizes it.
+  Rng rng(15);
+  const int outcome = state.measure(9, rng);
+  EXPECT_NEAR(state.probability_one(9), outcome, 1e-12);
+  EXPECT_NEAR(state.norm(), 1.0, 1e-12);
+  EXPECT_NEAR(state.probability_one(0), p1(0), 1e-12);
+#ifdef _OPENMP
+  omp_set_num_threads(original);
+#endif
 }
 
 TEST(StateVector, AmplitudeDampingFullyDecaysExcitedState) {

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "hpcqc/obs/trace.hpp"
 #include "hpcqc/sched/durable.hpp"
 #include "hpcqc/sched/qrm.hpp"
+#include "hpcqc/sched/workload.hpp"
 #include "hpcqc/store/codec.hpp"
 #include "hpcqc/store/journal.hpp"
 #include "hpcqc/store/recovery.hpp"
@@ -53,6 +57,52 @@ std::vector<std::uint8_t> bytes_of(const std::string& text) {
   return std::vector<std::uint8_t>(text.begin(), text.end());
 }
 
+std::vector<std::uint8_t> copy_of(std::span<const std::uint8_t> payload) {
+  return std::vector<std::uint8_t>(payload.begin(), payload.end());
+}
+
+/// Equal op lists, and every param equal bit for bit (so -0.0 and 0.0, or
+/// two NaN payloads, are told apart).
+void expect_same_ops(const circuit::Circuit& got,
+                     const circuit::Circuit& want) {
+  EXPECT_EQ(got.num_qubits(), want.num_qubits());
+  ASSERT_EQ(got.ops(), want.ops());
+  for (std::size_t i = 0; i < want.ops().size(); ++i)
+    for (std::size_t k = 0; k < want.ops()[i].params.size(); ++k)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.ops()[i].params[k]),
+                std::bit_cast<std::uint64_t>(want.ops()[i].params[k]))
+          << "op " << i << " param " << k;
+}
+
+sched::QuantumJob decode_job_bytes(const std::vector<std::uint8_t>& bytes) {
+  ByteReader in(bytes);
+  return decode_job(in);
+}
+
+std::vector<std::uint8_t> encode_job_bytes(const sched::QuantumJob& job) {
+  ByteWriter out;
+  encode_job(out, job);
+  return out.take();
+}
+
+/// Bit-at-a-time CRC-32 (reflected IEEE polynomial), the definition the
+/// table-driven `crc32` must reproduce.
+std::uint32_t crc32_bitwise(const std::uint8_t* data, std::size_t size,
+                            std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<std::uint8_t> random_bytes(Rng& rng, std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
+
 // ----------------------------------------------------------------- crc32 --
 
 TEST(StoreCrc, MatchesTheIeeeTestVector) {
@@ -65,6 +115,38 @@ TEST(StoreCrc, SeedChainsPartialComputations) {
   const std::uint32_t direct = crc32(whole.data(), whole.size());
   const std::uint32_t part = crc32(whole.data(), 9);
   EXPECT_EQ(crc32(whole.data() + 9, whole.size() - 9, part), direct);
+}
+
+TEST(StoreCrc, MatchesBitwiseReferenceForEveryShortLengthAndOffset) {
+  Rng rng(31);
+  const std::vector<std::uint8_t> buffer = random_bytes(rng, 64 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::uint8_t* data = buffer.data() + offset;
+      EXPECT_EQ(crc32(data, len), crc32_bitwise(data, len, 0))
+          << "len " << len << " offset " << offset;
+      const auto seed = static_cast<std::uint32_t>(rng());
+      EXPECT_EQ(crc32(data, len, seed), crc32_bitwise(data, len, seed))
+          << "len " << len << " offset " << offset << " seed " << seed;
+    }
+  }
+}
+
+TEST(StoreCrc, MatchesBitwiseReferenceOnRandomBuffersAndSeeds) {
+  Rng rng(32);
+  const std::vector<std::uint8_t> buffer = random_bytes(rng, 4096 + 8);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t offset = rng.uniform_index(8);
+    const std::size_t len = rng.uniform_index(4096 + 1);
+    const auto seed = static_cast<std::uint32_t>(rng());
+    const std::uint8_t* data = buffer.data() + offset;
+    ASSERT_EQ(crc32(data, len, seed), crc32_bitwise(data, len, seed))
+        << "len " << len << " offset " << offset << " seed " << seed;
+    // Chaining at an arbitrary split equals the one-shot value.
+    const std::size_t split = rng.uniform_index(len + 1);
+    EXPECT_EQ(crc32(data + split, len - split, crc32(data, split, seed)),
+              crc32(data, len, seed));
+  }
 }
 
 // ----------------------------------------------------------------- codec --
@@ -102,17 +184,32 @@ TEST(StoreCodec, JobRoundTripsPlainAndParametricPayloads) {
   Rng rng(7);
   device::DeviceModel device = device::make_iqm20(rng);
 
-  sched::QuantumJob plain = ghz_job(device, 5, 750, "plain-job");
+  // A brickwork body with random PRX angles, then the awkward values a
+  // text format could lose: -0.0, the smallest subnormal and a subnormal
+  // near the normal range, a barrier and a multi-qubit terminal measure.
+  const circuit::Circuit brickwork =
+      sched::chain_brickwork_circuit(device, 8, 6, rng);
+  circuit::Circuit body(brickwork.num_qubits());
+  for (const circuit::Operation& op : brickwork.ops())
+    if (op.kind != circuit::OpKind::kMeasure) body.append(op);
+  body.barrier();
+  body.prx(-0.0, std::numeric_limits<double>::denorm_min(), 3);
+  body.prx(2.5e-308, -0.0, 5);
+  body.cphase(-0.0, 0, 1);
+  body.measure({5, 3, 0, 1});
+  ASSERT_GT(body.ops().size(), 40u);
+
+  sched::QuantumJob plain;
+  plain.name = "plain-job";
+  plain.circuit = body;
+  plain.shots = 750;
   plain.project = "alice";
   plain.priority = sched::JobPriority::kHigh;
   plain.trace = {0x1234, 9};
   plain.migrations = 2;
   plain.migrated_in = true;
-  ByteWriter wp;
-  encode_job(wp, plain);
-  const std::vector<std::uint8_t> pb = wp.take();
-  ByteReader rp(pb);
-  const sched::QuantumJob plain2 = decode_job(rp);
+  const std::vector<std::uint8_t> pb = encode_job_bytes(plain);
+  const sched::QuantumJob plain2 = decode_job_bytes(pb);
   EXPECT_EQ(plain2.name, "plain-job");
   EXPECT_EQ(plain2.project, "alice");
   EXPECT_EQ(plain2.shots, 750u);
@@ -120,8 +217,9 @@ TEST(StoreCodec, JobRoundTripsPlainAndParametricPayloads) {
   EXPECT_EQ(plain2.trace, plain.trace);
   EXPECT_EQ(plain2.migrations, 2u);
   EXPECT_TRUE(plain2.migrated_in);
-  EXPECT_EQ(plain2.circuit.num_qubits(), plain.circuit.num_qubits());
-  EXPECT_EQ(plain2.circuit.ops().size(), plain.circuit.ops().size());
+  EXPECT_EQ(plain2.parametric, nullptr);
+  expect_same_ops(plain2.circuit, plain.circuit);
+  EXPECT_EQ(encode_job_bytes(plain2), pb);
 
   circuit::ParametricCircuit pc(3);
   {
@@ -137,21 +235,61 @@ TEST(StoreCodec, JobRoundTripsPlainAndParametricPayloads) {
     op.qubits = {0, 1};
     pc.append(std::move(op));
   }
+  {
+    circuit::ParametricOperation op;
+    op.kind = circuit::OpKind::kPrx;
+    op.qubits = {2};
+    op.params = {circuit::ParamExpr::literal(-0.0),
+                 circuit::ParamExpr::symbol("theta", -1.0, 1e-310)};
+    pc.append(std::move(op));
+  }
   sched::QuantumJob vqe;
   vqe.name = "vqe-iter";
   vqe.shots = 200;
   vqe.parametric = std::make_shared<circuit::ParametricCircuit>(pc);
   vqe.binding = {{"theta", 0.75}};
-  ByteWriter wv;
-  encode_job(wv, vqe);
-  const std::vector<std::uint8_t> vb = wv.take();
-  ByteReader rv(vb);
-  const sched::QuantumJob vqe2 = decode_job(rv);
+  const std::vector<std::uint8_t> vb = encode_job_bytes(vqe);
+  const sched::QuantumJob vqe2 = decode_job_bytes(vb);
   ASSERT_NE(vqe2.parametric, nullptr);
   EXPECT_EQ(vqe2.parametric->structural_hash(), pc.structural_hash());
   EXPECT_EQ(vqe2.binding, vqe.binding);
   // The concrete circuit is re-bound at decode, exactly like Qrm::submit.
-  EXPECT_EQ(vqe2.circuit.num_qubits(), 3);
+  expect_same_ops(vqe2.circuit, pc.bind(vqe.binding));
+  EXPECT_EQ(encode_job_bytes(vqe2), vb);
+}
+
+TEST(StoreCodec, JobPayloadWithABadOpIsRejected) {
+  sched::QuantumJob job;
+  job.name = "one-op";
+  job.shots = 10;
+  job.circuit = circuit::Circuit(2);
+  job.circuit.x(1);
+  const std::vector<std::uint8_t> good = encode_job_bytes(job);
+  ASSERT_EQ(decode_job_bytes(good).circuit.ops(), job.circuit.ops());
+
+  // The payload ends with the only op: u8 kind, u32 qubit count, i32 qubit,
+  // u32 param count.
+  const std::size_t kind_at = good.size() - 13;
+  const std::size_t qubit_at = good.size() - 8;
+  ASSERT_EQ(good[kind_at], static_cast<std::uint8_t>(circuit::OpKind::kX));
+  ASSERT_EQ(good[qubit_at], 1);
+
+  std::vector<std::uint8_t> bad_kind = good;
+  bad_kind[kind_at] = 0xFF;
+  EXPECT_THROW(decode_job_bytes(bad_kind), Error);
+
+  std::vector<std::uint8_t> bad_qubit = good;
+  bad_qubit[qubit_at] = 2;  // register has qubits 0 and 1
+  EXPECT_THROW(decode_job_bytes(bad_qubit), PreconditionError);
+  bad_qubit[qubit_at + 3] = 0xFF;  // negative index
+  EXPECT_THROW(decode_job_bytes(bad_qubit), PreconditionError);
+
+  std::vector<std::uint8_t> bad_arity = good;
+  bad_arity[kind_at] = static_cast<std::uint8_t>(circuit::OpKind::kCz);
+  EXPECT_THROW(decode_job_bytes(bad_arity), PreconditionError);
+
+  std::vector<std::uint8_t> truncated(good.begin(), good.end() - 2);
+  EXPECT_THROW(decode_job_bytes(truncated), ParseError);
 }
 
 // ------------------------------------------------------------------- wal --
@@ -169,9 +307,9 @@ TEST(StoreWal, AppendScanRoundTripsInOrder) {
   EXPECT_EQ(scan.dropped_bytes, 0u);
   EXPECT_EQ(scan.records[0].lsn, 1u);
   EXPECT_EQ(scan.records[0].type, 1);
-  EXPECT_EQ(scan.records[0].payload, bytes_of("alpha"));
+  EXPECT_EQ(copy_of(scan.records[0].payload), bytes_of("alpha"));
   EXPECT_EQ(scan.records[1].type, 2);
-  EXPECT_EQ(scan.records[1].payload, bytes_of("beta"));
+  EXPECT_EQ(copy_of(scan.records[1].payload), bytes_of("beta"));
   EXPECT_TRUE(scan.records[2].payload.empty());
 }
 
@@ -186,7 +324,7 @@ TEST(StoreWal, TornTailDropsOnlyTheUnflushedSuffix) {
   backend.truncate_total(intact + 5);
   const WalScan scan = Wal::scan(backend);
   ASSERT_EQ(scan.records.size(), 1u);
-  EXPECT_EQ(scan.records[0].payload, bytes_of("first"));
+  EXPECT_EQ(copy_of(scan.records[0].payload), bytes_of("first"));
   EXPECT_TRUE(scan.torn);
   EXPECT_EQ(scan.dropped_bytes, 5u);
 }
@@ -230,7 +368,7 @@ TEST(StoreWal, ReopenContinuesTheLsnSequenceInAFreshSegment) {
   const WalScan scan = Wal::scan(backend);
   ASSERT_EQ(scan.records.size(), 3u);
   EXPECT_EQ(scan.records[2].lsn, 3u);
-  EXPECT_EQ(scan.records[2].payload, bytes_of("three"));
+  EXPECT_EQ(copy_of(scan.records[2].payload), bytes_of("three"));
 }
 
 TEST(StoreWal, FileBackendRoundTripsAndStopsAtCorruption) {
@@ -246,7 +384,7 @@ TEST(StoreWal, FileBackendRoundTripsAndStopsAtCorruption) {
   FileWalBackend again(dir);
   const WalScan scan = Wal::scan(again);
   ASSERT_EQ(scan.records.size(), 3u);
-  EXPECT_EQ(scan.records[1].payload, bytes_of("disk-two"));
+  EXPECT_EQ(copy_of(scan.records[1].payload), bytes_of("disk-two"));
 
   // Flip one byte inside the second record's payload: the scan keeps the
   // first record and distrusts everything after the bad CRC.
@@ -261,9 +399,49 @@ TEST(StoreWal, FileBackendRoundTripsAndStopsAtCorruption) {
   }
   const WalScan corrupt = Wal::scan(again);
   ASSERT_EQ(corrupt.records.size(), 1u);
-  EXPECT_EQ(corrupt.records[0].payload, bytes_of("disk-one"));
+  EXPECT_EQ(copy_of(corrupt.records[0].payload), bytes_of("disk-one"));
   EXPECT_TRUE(corrupt.torn);
   EXPECT_GT(corrupt.dropped_bytes, 0u);
+}
+
+TEST(StoreWal, ScanViewsMemorySegmentsInPlace) {
+  MemoryWalBackend backend;
+  Wal::Config config;
+  config.segment_bytes = 64;
+  Wal wal(backend, config);
+  for (int i = 0; i < 12; ++i)
+    wal.append(1, bytes_of("record-" + std::to_string(i)));
+
+  const WalScan scan = Wal::scan(backend);
+  ASSERT_EQ(scan.records.size(), 12u);
+  EXPECT_TRUE(scan.buffers.empty());
+  std::vector<std::uint8_t> unused;
+  const std::span<const std::uint8_t> first =
+      backend.view_segment(backend.segments().front(), unused);
+  EXPECT_TRUE(unused.empty());
+  const std::span<const std::uint8_t> payload = scan.records[0].payload;
+  EXPECT_GE(payload.data(), first.data());
+  EXPECT_LE(payload.data() + payload.size(), first.data() + first.size());
+  EXPECT_EQ(copy_of(scan.records[11].payload), bytes_of("record-11"));
+}
+
+TEST(StoreWal, FileScanOwnsItsSegmentsAcrossAMove) {
+  const std::string dir = ::testing::TempDir() + "/hpcqc_wal_move_test";
+  std::filesystem::remove_all(dir);
+  FileWalBackend backend(dir);
+  Wal::Config config;
+  config.segment_bytes = 64;
+  Wal wal(backend, config);
+  for (int i = 0; i < 8; ++i)
+    wal.append(1, bytes_of("disk-record-" + std::to_string(i)));
+
+  WalScan scan = Wal::scan(backend);
+  EXPECT_GT(scan.buffers.size(), 1u);
+  const WalScan moved = std::move(scan);
+  ASSERT_EQ(moved.records.size(), 8u);
+  for (int i = 0; i < 8; ++i)
+    EXPECT_EQ(copy_of(moved.records[static_cast<std::size_t>(i)].payload),
+              bytes_of("disk-record-" + std::to_string(i)));
 }
 
 // -------------------------------------------------------------- snapshot --
@@ -290,6 +468,20 @@ TEST(StoreSnapshot, QrmImageRoundTripsByteIdentically) {
   std::vector<std::uint8_t> bad = bytes;
   bad[0] ^= 0x5A;
   EXPECT_THROW(snapshot_scope(bad), PreconditionError);
+}
+
+TEST(StoreSnapshot, VersionOneSnapshotIsRefused) {
+  // Version 1 held job circuits as text; version 2 holds them as binary
+  // ops. An old snapshot is refused, not misread.
+  Rng rng(23);
+  device::DeviceModel device = device::make_iqm20(rng);
+  sched::Qrm qrm(device, fast_config(), rng, nullptr);
+  qrm.submit(ghz_job(device, 5, 400, "old-format"));
+  std::vector<std::uint8_t> bytes = encode_snapshot(qrm.capture_durable());
+  ASSERT_EQ(bytes[4], 2);  // after the u32 magic
+  bytes[4] = 1;
+  EXPECT_THROW(snapshot_scope(bytes), ParseError);
+  EXPECT_THROW(decode_qrm_snapshot(bytes), ParseError);
 }
 
 TEST(StoreSnapshot, RestoredQrmContinuesAndConservesJobs) {
