@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "hpcqc/common/error.hpp"
+#include "hpcqc/common/hash.hpp"
 
 namespace hpcqc::circuit {
 
@@ -209,36 +209,25 @@ Circuit Circuit::qft(int num_qubits) {
 }
 
 std::uint64_t Circuit::structural_hash() const {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV offset basis
-  const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 0x100000001b3ULL;  // FNV prime
-  };
-  mix(static_cast<std::uint64_t>(num_qubits_));
+  std::uint64_t hash = kHashBasis;
+  hash_mix(hash, num_qubits_);
   for (const auto& op : ops_) {
-    mix(static_cast<std::uint64_t>(op.kind) + 1);
-    for (int q : op.qubits) mix(static_cast<std::uint64_t>(q) + 0x9e37);
-    for (double p : op.params) {
-      std::uint64_t bits = 0;
-      static_assert(sizeof(bits) == sizeof(p));
-      std::memcpy(&bits, &p, sizeof(bits));
-      mix(bits);
-    }
+    hash_mix(hash, static_cast<std::uint64_t>(op.kind) + 1);
+    for (int q : op.qubits)
+      hash_mix(hash, static_cast<std::uint64_t>(q) + 0x9e37);
+    for (double p : op.params) hash_mix(hash, p);
   }
   return hash;
 }
 
 std::uint64_t Circuit::shape_hash() const {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV offset basis
-  const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 0x100000001b3ULL;  // FNV prime
-  };
-  mix(static_cast<std::uint64_t>(num_qubits_));
+  std::uint64_t hash = kHashBasis;
+  hash_mix(hash, num_qubits_);
   for (const auto& op : ops_) {
-    mix(static_cast<std::uint64_t>(op.kind) + 1);
-    for (int q : op.qubits) mix(static_cast<std::uint64_t>(q) + 0x9e37);
-    mix(static_cast<std::uint64_t>(op.params.size()) + 0x51ed);
+    hash_mix(hash, static_cast<std::uint64_t>(op.kind) + 1);
+    for (int q : op.qubits)
+      hash_mix(hash, static_cast<std::uint64_t>(q) + 0x9e37);
+    hash_mix(hash, static_cast<std::uint64_t>(op.params.size()) + 0x51ed);
   }
   return hash;
 }

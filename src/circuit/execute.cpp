@@ -5,74 +5,75 @@
 
 namespace hpcqc::circuit {
 
+qsim::Matrix2 gate_matrix_1q(const Operation& op) {
+  static const qsim::Matrix2 kX = qsim::gate_x();
+  static const qsim::Matrix2 kY = qsim::gate_y();
+  static const qsim::Matrix2 kZ = qsim::gate_z();
+  static const qsim::Matrix2 kH = qsim::gate_h();
+  static const qsim::Matrix2 kS = qsim::gate_s();
+  static const qsim::Matrix2 kSdg = qsim::gate_sdg();
+  static const qsim::Matrix2 kT = qsim::gate_t();
+  static const qsim::Matrix2 kTdg = qsim::gate_tdg();
+  static const qsim::Matrix2 kSx = qsim::gate_sx();
+  switch (op.kind) {
+    case OpKind::kX: return kX;
+    case OpKind::kY: return kY;
+    case OpKind::kZ: return kZ;
+    case OpKind::kH: return kH;
+    case OpKind::kS: return kS;
+    case OpKind::kSdg: return kSdg;
+    case OpKind::kT: return kT;
+    case OpKind::kTdg: return kTdg;
+    case OpKind::kSx: return kSx;
+    case OpKind::kRx: return qsim::gate_rx(op.params[0]);
+    case OpKind::kRy: return qsim::gate_ry(op.params[0]);
+    case OpKind::kRz: return qsim::gate_rz(op.params[0]);
+    case OpKind::kU:
+      return qsim::gate_u(op.params[0], op.params[1], op.params[2]);
+    case OpKind::kPrx: return qsim::gate_prx(op.params[0], op.params[1]);
+    default: throw Error("gate_matrix_1q: op is not a single-qubit gate");
+  }
+}
+
+const qsim::Matrix4& gate_matrix_2q(OpKind kind) {
+  static const qsim::Matrix4 kCx = qsim::gate_cx();
+  static const qsim::Matrix4 kSwap = qsim::gate_swap();
+  static const qsim::Matrix4 kIswap = qsim::gate_iswap();
+  switch (kind) {
+    case OpKind::kCx: return kCx;
+    case OpKind::kSwap: return kSwap;
+    case OpKind::kIswap: return kIswap;
+    default: throw Error("gate_matrix_2q: op is not a dense two-qubit gate");
+  }
+}
+
+// The noiseless paths (run_ideal, ideal_distribution, the emulated
+// fallback, exact VQE energies, equivalence checks) apply gates here. Noisy
+// device execution goes through device::CompiledProgram, which takes its
+// matrices from the same two tables.
 void apply_op(qsim::StateVector& state, const Operation& op) {
-  using qsim::Matrix2;
-  using qsim::Matrix4;
-  // Constant gate matrices are built once per process, not per call —
-  // the trajectory engine funnels every gate of every shot through here.
-  static const Matrix2 kX = qsim::gate_x();
-  static const Matrix2 kY = qsim::gate_y();
-  static const Matrix2 kZ = qsim::gate_z();
-  static const Matrix2 kH = qsim::gate_h();
-  static const Matrix2 kS = qsim::gate_s();
-  static const Matrix2 kSdg = qsim::gate_sdg();
-  static const Matrix2 kT = qsim::gate_t();
-  static const Matrix2 kTdg = qsim::gate_tdg();
-  static const Matrix2 kSx = qsim::gate_sx();
-  static const Matrix4 kCx = qsim::gate_cx();
-  static const Matrix4 kSwap = qsim::gate_swap();
-  static const Matrix4 kIswap = qsim::gate_iswap();
   switch (op.kind) {
     case OpKind::kBarrier:
+    case OpKind::kI:
       return;
     case OpKind::kMeasure:
       throw PreconditionError(
           "apply_op: measurements are handled by run_ideal, not apply_op");
-    case OpKind::kI:
-      return;
-    case OpKind::kX: state.apply_1q(kX, op.qubits[0]); return;
-    case OpKind::kY: state.apply_1q(kY, op.qubits[0]); return;
-    case OpKind::kZ: state.apply_1q(kZ, op.qubits[0]); return;
-    case OpKind::kH: state.apply_1q(kH, op.qubits[0]); return;
-    case OpKind::kS: state.apply_1q(kS, op.qubits[0]); return;
-    case OpKind::kSdg: state.apply_1q(kSdg, op.qubits[0]); return;
-    case OpKind::kT: state.apply_1q(kT, op.qubits[0]); return;
-    case OpKind::kTdg: state.apply_1q(kTdg, op.qubits[0]); return;
-    case OpKind::kSx: state.apply_1q(kSx, op.qubits[0]); return;
-    case OpKind::kRx:
-      state.apply_1q(qsim::gate_rx(op.params[0]), op.qubits[0]);
-      return;
-    case OpKind::kRy:
-      state.apply_1q(qsim::gate_ry(op.params[0]), op.qubits[0]);
-      return;
-    case OpKind::kRz:
-      state.apply_1q(qsim::gate_rz(op.params[0]), op.qubits[0]);
-      return;
-    case OpKind::kU:
-      state.apply_1q(qsim::gate_u(op.params[0], op.params[1], op.params[2]),
-                     op.qubits[0]);
-      return;
-    case OpKind::kPrx:
-      state.apply_1q(qsim::gate_prx(op.params[0], op.params[1]),
-                     op.qubits[0]);
-      return;
     case OpKind::kCz:
       state.apply_cphase(M_PI, op.qubits[0], op.qubits[1]);
-      return;
-    case OpKind::kCx:
-      state.apply_2q(kCx, op.qubits[0], op.qubits[1]);
-      return;
-    case OpKind::kSwap:
-      state.apply_2q(kSwap, op.qubits[0], op.qubits[1]);
-      return;
-    case OpKind::kIswap:
-      state.apply_2q(kIswap, op.qubits[0], op.qubits[1]);
       return;
     case OpKind::kCphase:
       state.apply_cphase(op.params[0], op.qubits[0], op.qubits[1]);
       return;
+    case OpKind::kCx:
+    case OpKind::kSwap:
+    case OpKind::kIswap:
+      state.apply_2q(gate_matrix_2q(op.kind), op.qubits[0], op.qubits[1]);
+      return;
+    default:
+      state.apply_1q(gate_matrix_1q(op), op.qubits[0]);
+      return;
   }
-  throw Error("apply_op: unhandled op kind");
 }
 
 void apply_gates(qsim::StateVector& state, const Circuit& circuit) {

@@ -77,7 +77,8 @@ public:
 
   bool operator==(const Circuit&) const = default;
 
-  /// Structural FNV-1a hash over ops (kind, operands, parameter bits).
+  /// Structural hash over ops (kind, operands, parameter bits), one
+  /// hash_mix word-wise step per field (common/hash.hpp).
   /// Equal circuits hash equal; used as a compile-cache key.
   std::uint64_t structural_hash() const;
 

@@ -5,9 +5,20 @@
 #include "hpcqc/circuit/circuit.hpp"
 #include "hpcqc/common/rng.hpp"
 #include "hpcqc/qsim/counts.hpp"
+#include "hpcqc/qsim/gates.hpp"
 #include "hpcqc/qsim/state_vector.hpp"
 
 namespace hpcqc::circuit {
+
+/// Matrix of a one-qubit gate operation. Fixed gates come from
+/// function-local statics built once per process; rotations are built from
+/// the op's angles. Throws for any op that is not a one-qubit gate.
+qsim::Matrix2 gate_matrix_1q(const Operation& op);
+
+/// Matrix of a dense two-qubit gate (CX, SWAP or iSWAP), built once per
+/// process. Throws for any other kind (CZ and CPHASE take the diagonal
+/// apply_cphase path instead).
+const qsim::Matrix4& gate_matrix_2q(OpKind kind);
 
 /// Applies one gate operation to a state vector (barriers are no-ops;
 /// measurements are rejected — use run_ideal for measured circuits).

@@ -75,10 +75,10 @@ public:
   /// entries in the binding are rejected to catch typos.
   Circuit bind(const std::map<std::string, double>& binding) const;
 
-  /// FNV-1a hash of the template's structure with parameter *values*
-  /// abstracted out: op kinds, operands, literal angle bits, and — for
-  /// symbolic angles — the symbol's index in parameters() plus its affine
-  /// (coefficient, offset). Two templates hash equal exactly when every
+  /// Word-wise hash (hash_mix) of the template's structure with parameter
+  /// *values* abstracted out: op kinds, operands, literal angle bits, and —
+  /// for symbolic angles — the symbol's index in parameters() plus its
+  /// affine (coefficient, offset). Two templates hash equal exactly when every
   /// binding produces structurally-identical circuits; the structure-phase
   /// compile cache keys on this.
   std::uint64_t structural_hash() const;

@@ -1,10 +1,10 @@
 #include "hpcqc/circuit/parametric.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <set>
 
 #include "hpcqc/common/error.hpp"
+#include "hpcqc/common/hash.hpp"
 
 namespace hpcqc::circuit {
 
@@ -133,30 +133,21 @@ std::uint64_t ParametricCircuit::structural_hash() const {
   std::map<std::string, std::uint64_t> index;
   for (std::size_t i = 0; i < names.size(); ++i) index[names[i]] = i;
 
-  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV offset basis
-  const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 0x100000001b3ULL;  // FNV prime
-  };
-  const auto mix_double = [&mix](double value) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix(bits);
-  };
-  mix(static_cast<std::uint64_t>(num_qubits_));
+  std::uint64_t hash = kHashBasis;
+  hash_mix(hash, num_qubits_);
   for (const auto& op : ops_) {
-    mix(static_cast<std::uint64_t>(op.kind) + 1);
-    for (int q : op.qubits) mix(static_cast<std::uint64_t>(q) + 0x9e37);
+    hash_mix(hash, static_cast<std::uint64_t>(op.kind) + 1);
+    for (int q : op.qubits)
+      hash_mix(hash, static_cast<std::uint64_t>(q) + 0x9e37);
     for (const auto& param : op.params) {
       if (param.is_literal()) {
-        mix(0x11);
-        mix_double(param.coefficient());
+        hash_mix(hash, 0x11);
+        hash_mix(hash, param.coefficient());
       } else {
-        mix(0x22);
-        mix(index.at(param.name()));
-        mix_double(param.coefficient());
-        mix_double(param.offset());
+        hash_mix(hash, 0x22);
+        hash_mix(hash, index.at(param.name()));
+        hash_mix(hash, param.coefficient());
+        hash_mix(hash, param.offset());
       }
     }
   }

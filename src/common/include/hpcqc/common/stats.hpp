@@ -36,10 +36,16 @@ double stddev(std::span<const double> xs);
 /// Root mean square of a sample; 0 for an empty sample.
 double rms(std::span<const double> xs);
 
-/// Linear-interpolation percentile, q in [0, 1]. Copies and sorts.
+/// Nearest-rank percentile, the one sample-percentile rule every report
+/// uses: the value at 1-based rank ceil(q * n) of the sorted sample, with
+/// the rank clamped to [1, n], so q = 0 gives the minimum and q = 1 the
+/// maximum. Never interpolates. Throws on an empty sample or q outside
+/// [0, 1]. Copies the sample.
 double percentile(std::span<const double> xs, double q);
 
-/// Median (percentile 0.5).
+/// Median: the middle value for odd n, and for even n the mean of the two
+/// middle values a, b computed as a * 0.5 + b * 0.5. Throws on an empty
+/// sample. Copies and sorts.
 double median(std::span<const double> xs);
 
 /// Pearson correlation coefficient; 0 when either side is constant.

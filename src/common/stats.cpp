@@ -53,17 +53,24 @@ double rms(std::span<const double> xs) {
 double percentile(std::span<const double> xs, double q) {
   expects(!xs.empty(), "percentile: empty sample");
   expects(q >= 0.0 && q <= 1.0, "percentile: q outside [0,1]");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
+  std::vector<double> values(xs.begin(), xs.end());
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(values.size())));
+  const std::size_t index =
+      std::clamp<std::size_t>(rank, 1, values.size()) - 1;
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(index);
+  std::nth_element(values.begin(), nth, values.end());
+  return *nth;
 }
 
-double median(std::span<const double> xs) { return percentile(xs, 0.5); }
+double median(std::span<const double> xs) {
+  expects(!xs.empty(), "median: empty sample");
+  std::vector<double> sorted(xs.begin(), xs.end());
+  std::sort(sorted.begin(), sorted.end());
+  const std::size_t mid = sorted.size() / 2;
+  if (sorted.size() % 2 == 1) return sorted[mid];
+  return sorted[mid - 1] * 0.5 + sorted[mid] * 0.5;
+}
 
 double correlation(std::span<const double> xs, std::span<const double> ys) {
   expects(xs.size() == ys.size(), "correlation: size mismatch");

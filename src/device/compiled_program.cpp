@@ -3,34 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "hpcqc/circuit/execute.hpp"
 #include "hpcqc/common/error.hpp"
 
 namespace hpcqc::device {
 
 namespace {
-
-qsim::Matrix2 matrix_1q(const circuit::Operation& op) {
-  using circuit::OpKind;
-  switch (op.kind) {
-    case OpKind::kX: return qsim::gate_x();
-    case OpKind::kY: return qsim::gate_y();
-    case OpKind::kZ: return qsim::gate_z();
-    case OpKind::kH: return qsim::gate_h();
-    case OpKind::kS: return qsim::gate_s();
-    case OpKind::kSdg: return qsim::gate_sdg();
-    case OpKind::kT: return qsim::gate_t();
-    case OpKind::kTdg: return qsim::gate_tdg();
-    case OpKind::kSx: return qsim::gate_sx();
-    case OpKind::kRx: return qsim::gate_rx(op.params[0]);
-    case OpKind::kRy: return qsim::gate_ry(op.params[0]);
-    case OpKind::kRz: return qsim::gate_rz(op.params[0]);
-    case OpKind::kU:
-      return qsim::gate_u(op.params[0], op.params[1], op.params[2]);
-    case OpKind::kPrx: return qsim::gate_prx(op.params[0], op.params[1]);
-    default:
-      throw Error("CompiledProgram: op is not a single-qubit gate");
-  }
-}
 
 /// Depolarizing "keep" parameter of a 1q Pauli-error channel with error
 /// probability p: the channel is lambda*rho + (1-lambda)*I/2 with
@@ -133,20 +111,10 @@ CompiledProgram::CompiledProgram(const circuit::Circuit& circuit,
           out.theta = op.params[0];
           sources.push_back(static_cast<std::uint32_t>(i));
           break;
-        case OpKind::kCx:
-          out.kind = CompiledOp::Kind::kDense2q;
-          out.m4 = qsim::gate_cx();
-          break;
-        case OpKind::kSwap:
-          out.kind = CompiledOp::Kind::kDense2q;
-          out.m4 = qsim::gate_swap();
-          break;
-        case OpKind::kIswap:
-          out.kind = CompiledOp::Kind::kDense2q;
-          out.m4 = qsim::gate_iswap();
-          break;
         default:
-          throw Error("CompiledProgram: unhandled two-qubit op");
+          out.kind = CompiledOp::Kind::kDense2q;
+          out.m4 = circuit::gate_matrix_2q(op.kind);
+          break;
       }
       ops_.push_back(out);
       sources_.push_back(std::move(sources));
@@ -154,7 +122,7 @@ CompiledProgram::CompiledProgram(const circuit::Circuit& circuit,
     }
     const int d = phys_to_dense[static_cast<std::size_t>(op.qubits[0])];
     auto& slot = pending[static_cast<std::size_t>(d)];
-    const qsim::Matrix2 g = matrix_1q(op);
+    const qsim::Matrix2 g = circuit::gate_matrix_1q(op);
     if (slot.any) {
       slot.m = qsim::matmul(g, slot.m);  // g acts after the pending run
     } else {
@@ -182,9 +150,9 @@ void CompiledProgram::rebind(const circuit::Circuit& circuit) {
     }
     // Replay the constructor's accumulation order exactly, so the fused
     // matrix is bit-identical to a fresh compilation of `circuit`.
-    qsim::Matrix2 m = matrix_1q(source_ops[sources[0]]);
+    qsim::Matrix2 m = circuit::gate_matrix_1q(source_ops[sources[0]]);
     for (std::size_t s = 1; s < sources.size(); ++s)
-      m = qsim::matmul(matrix_1q(source_ops[sources[s]]), m);
+      m = qsim::matmul(circuit::gate_matrix_1q(source_ops[sources[s]]), m);
     op.m2 = m;
   }
 }

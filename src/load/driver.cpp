@@ -5,35 +5,11 @@
 
 #include "hpcqc/calibration/benchmark.hpp"
 #include "hpcqc/common/error.hpp"
+#include "hpcqc/common/hash.hpp"
+#include "hpcqc/common/stats.hpp"
 #include "hpcqc/sched/workload.hpp"
 
 namespace hpcqc::load {
-
-namespace {
-
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xFFULL;
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
-
-std::uint64_t fnv1a_double(std::uint64_t hash, double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  __builtin_memcpy(&bits, &value, sizeof(bits));
-  return fnv1a(hash, bits);
-}
-
-Seconds percentile(std::vector<Seconds>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto index = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1));
-  return sorted[index];
-}
-
-}  // namespace
 
 JobFactory::JobFactory(const device::DeviceModel& device,
                        const TrafficGenerator& traffic, std::uint64_t seed)
@@ -133,7 +109,7 @@ LoadReport OpenLoopDriver::run(sched::Qrm& qrm, const JobFactory& factory,
   std::sort(outcomes.begin(), outcomes.end());
   std::vector<Seconds> waits;
   waits.reserve(outcomes.size());
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  std::uint64_t hash = kHashBasis;
   std::map<std::uint32_t, TenantOutcome> tenant_by_index;
   for (const Arrival& arrival : schedule)
     tenant_by_index[arrival.tenant].offered += 1;
@@ -171,17 +147,18 @@ LoadReport OpenLoopDriver::run(sched::Qrm& qrm, const JobFactory& factory,
         tenant.admitted += 1;
         break;
     }
-    hash = fnv1a(hash, ticket);
-    hash = fnv1a(hash, static_cast<std::uint64_t>(id));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(record.state));
-    hash = fnv1a_double(hash, record.end_time);
+    hash_mix(hash, ticket);
+    hash_mix(hash, id);
+    hash_mix(hash, static_cast<std::uint64_t>(record.state));
+    hash_mix(hash, record.end_time);
   }
   report.admitted = report.offered - report.rejected;
   report.fingerprint = hash;
 
-  std::sort(waits.begin(), waits.end());
-  report.queue_wait_p50 = percentile(waits, 0.50);
-  report.queue_wait_p99 = percentile(waits, 0.99);
+  if (!waits.empty()) {
+    report.queue_wait_p50 = percentile(waits, 0.50);
+    report.queue_wait_p99 = percentile(waits, 0.99);
+  }
 
   for (const auto& [index, outcome] : tenant_by_index)
     report.tenants.emplace(factory.tenant_name(index), outcome);

@@ -55,10 +55,12 @@ struct LoadReport {
   std::size_t shed = 0;
   std::uint64_t backpressure_events = 0;
   Seconds makespan = 0.0;  ///< simulated time from first slice to drain
-  Seconds queue_wait_p50 = 0.0;  ///< over completed jobs
+  /// Nearest-rank percentiles (hpcqc::percentile) over completed jobs;
+  /// 0 when none completed.
+  Seconds queue_wait_p50 = 0.0;
   Seconds queue_wait_p99 = 0.0;
   bool conservation_ok = false;
-  /// FNV-1a over (ticket, id, state, end_time) in ticket order.
+  /// hash_mix over (ticket, id, state, end_time) in ticket order.
   std::uint64_t fingerprint = 0;
   std::map<std::string, TenantOutcome> tenants;
 };

@@ -202,7 +202,8 @@ private:
   obs::Gauge* m_structure_size_ = nullptr;
 
   std::string device_identity_;
-  std::uint64_t identity_salt_ = 0;  ///< FNV-1a of device_identity_
+  /// hash_mix of device_identity_, one character per word.
+  std::uint64_t identity_salt_ = 0;
 
   bool cache_enabled_ = true;
   mutable StructureCache cache_{256};

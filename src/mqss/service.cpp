@@ -2,6 +2,7 @@
 
 #include "hpcqc/circuit/execute.hpp"
 #include "hpcqc/common/error.hpp"
+#include "hpcqc/common/hash.hpp"
 
 namespace hpcqc::mqss {
 
@@ -50,27 +51,24 @@ struct ExecSpanObserver final : device::ExecObserver {
   }
 };
 
-/// FNV-1a fold of the QDMI view's per-qubit / per-coupler kOperational
+/// Hash (hash_mix) of the QDMI view's per-qubit / per-coupler kOperational
 /// bits. This is what keys masked-topology state into the compile cache:
 /// a view that masks qubits without bumping the device's calibration epoch
 /// (telemetry-driven sensors, health overlays) still changes the
 /// fingerprint, so stale placements can never be served after a mask flip.
 std::uint64_t health_fingerprint(const qdmi::DeviceInterface& device) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ULL;
-  };
+  std::uint64_t hash = kHashBasis;
   const int num_qubits = device.num_qubits();
   for (int q = 0; q < num_qubits; ++q)
-    mix(device.qubit_property(qdmi::QubitProperty::kOperational, q) >= 0.5
-            ? 0x71ULL
-            : 0x70ULL);
+    hash_mix(hash,
+             device.qubit_property(qdmi::QubitProperty::kOperational, q) >= 0.5
+                 ? 0x71ULL
+                 : 0x70ULL);
   for (const auto& [a, b] : device.coupling_map())
-    mix(device.coupler_property(qdmi::CouplerProperty::kOperational, a, b) >=
-                0.5
-            ? 0x63ULL
-            : 0x62ULL);
+    hash_mix(hash, device.coupler_property(qdmi::CouplerProperty::kOperational,
+                                           a, b) >= 0.5
+                       ? 0x63ULL
+                       : 0x62ULL);
   return hash;
 }
 
@@ -82,34 +80,27 @@ bool QpuService::fault_active(fault::FaultSite site) const {
 }
 
 std::uint64_t QpuService::cache_key(std::uint64_t structural_hash) const {
-  std::uint64_t hash = 1469598103934665603ULL;
-  const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ULL;
-  };
-  mix(structural_hash);
+  std::uint64_t hash = kHashBasis;
+  hash_mix(hash, structural_hash);
   // A recalibration bumps the device's epoch counter; entries keyed under
   // the old epoch were compiled against metrics the JIT must no longer
   // trust. (The counter — not the calibration timestamp — is keyed: two
   // calibrations can land at the same simulated instant.)
-  mix(device_->calibration_epoch());
-  mix(health_fingerprint(*qdmi_));
-  mix(static_cast<std::uint64_t>(options_.placement) + 1);
-  mix(options_.optimize ? 0x6f7074ULL : 0x726177ULL);
-  mix(options_.fidelity_aware_routing ? 0x666964ULL : 0x686f70ULL);
+  hash_mix(hash, device_->calibration_epoch());
+  hash_mix(hash, health_fingerprint(*qdmi_));
+  hash_mix(hash, static_cast<std::uint64_t>(options_.placement) + 1);
+  hash_mix(hash, options_.optimize ? 0x6f7074ULL : 0x726177ULL);
+  hash_mix(hash, options_.fidelity_aware_routing ? 0x666964ULL : 0x686f70ULL);
   // Device identity: two fleet devices with identical registers, epochs,
   // and masks still key disjoint entries.
-  mix(identity_salt_);
+  hash_mix(hash, identity_salt_);
   return hash;
 }
 
 void QpuService::set_device_identity(const std::string& name) {
   device_identity_ = name;
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const unsigned char c : name) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
+  std::uint64_t hash = kHashBasis;
+  for (const unsigned char c : name) hash_mix(hash, c);
   identity_salt_ = hash;
 }
 

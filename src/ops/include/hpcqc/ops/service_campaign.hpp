@@ -151,7 +151,7 @@ struct ServiceCampaignResult {
 
   std::vector<TenantSlo> tenants;  ///< head rows + trailing "other" rollup
   sched::JobConservation conservation;
-  /// FNV-1a over (ticket, terminal state, end_time, device) in ticket
+  /// hash_mix over (ticket, terminal state, end_time, device) in ticket
   /// order — one equality check for replay identity.
   std::uint64_t fingerprint = 0;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -11,6 +10,8 @@
 #include <vector>
 
 #include "hpcqc/common/error.hpp"
+#include "hpcqc/common/hash.hpp"
+#include "hpcqc/common/stats.hpp"
 #include "hpcqc/common/table.hpp"
 #include "hpcqc/device/presets.hpp"
 #include "hpcqc/load/driver.hpp"
@@ -33,33 +34,6 @@ std::string hex64(std::uint64_t value) {
   std::snprintf(buffer, sizeof(buffer), "0x%016llx",
                 static_cast<unsigned long long>(value));
   return buffer;
-}
-
-void fold(std::uint64_t& hash, std::uint64_t value) {
-  for (int b = 0; b < 8; ++b) {
-    hash ^= (value >> (8 * b)) & 0xFFu;
-    hash *= 1099511628211ULL;  // FNV-1a
-  }
-}
-
-std::uint64_t double_bits(double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-/// Nearest-rank percentile over a sorted sample; 0 when empty.
-Seconds percentile(const std::vector<Seconds>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank = q * static_cast<double>(sorted.size());
-  const std::size_t index = rank <= 1.0
-                                ? 0
-                                : std::min(sorted.size() - 1,
-                                           static_cast<std::size_t>(
-                                               std::ceil(rank)) -
-                                               1);
-  return sorted[index];
 }
 
 /// How one offered job landed, from the SLO accountant's point of view.
@@ -422,7 +396,7 @@ ServiceCampaignResult ServiceCampaign::run() {
   };
   std::map<std::string, Tally> tenants;
   std::vector<Seconds> all_turnarounds;
-  std::uint64_t fingerprint = 14695981039346656037ULL;
+  std::uint64_t fingerprint = kHashBasis;
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     const int id = fleet_ids[i];
     if (id < 0) continue;  // arrival after the last step: never offered
@@ -451,11 +425,10 @@ ServiceCampaignResult ServiceCampaign::run() {
     if (is_bad(outcome)) tally.slo.budget.bad += 1;
     if (outcome != Outcome::kCompleted && record.device >= 0)
       end_time = fleet.qrm(record.device).record(record.local_id).end_time;
-    fold(fingerprint, schedule[i].ticket);
-    fold(fingerprint, static_cast<std::uint64_t>(fleet.state(id)));
-    fold(fingerprint, double_bits(end_time));
-    fold(fingerprint,
-         static_cast<std::uint64_t>(static_cast<std::int64_t>(record.device)));
+    hash_mix(fingerprint, schedule[i].ticket);
+    hash_mix(fingerprint, static_cast<std::uint64_t>(fleet.state(id)));
+    hash_mix(fingerprint, end_time);
+    hash_mix(fingerprint, record.device);
   }
   result.fingerprint = fingerprint;
 
@@ -476,9 +449,10 @@ ServiceCampaignResult ServiceCampaign::run() {
     tally.slo.budget.target = config_.slo.success_target;
     if (r < config_.report_tenants) {
       tally.slo.tenant = ranked[r];
-      std::sort(tally.turnarounds.begin(), tally.turnarounds.end());
-      tally.slo.p50_turnaround = percentile(tally.turnarounds, 0.50);
-      tally.slo.p99_turnaround = percentile(tally.turnarounds, 0.99);
+      if (!tally.turnarounds.empty()) {
+        tally.slo.p50_turnaround = percentile(tally.turnarounds, 0.50);
+        tally.slo.p99_turnaround = percentile(tally.turnarounds, 0.99);
+      }
       result.tenants.push_back(tally.slo);
     } else {
       other.slo.offered += tally.slo.offered;
@@ -496,9 +470,10 @@ ServiceCampaignResult ServiceCampaign::run() {
   }
   if (other.slo.offered > 0) {
     other.slo.budget.target = config_.slo.success_target;
-    std::sort(other.turnarounds.begin(), other.turnarounds.end());
-    other.slo.p50_turnaround = percentile(other.turnarounds, 0.50);
-    other.slo.p99_turnaround = percentile(other.turnarounds, 0.99);
+    if (!other.turnarounds.empty()) {
+      other.slo.p50_turnaround = percentile(other.turnarounds, 0.50);
+      other.slo.p99_turnaround = percentile(other.turnarounds, 0.99);
+    }
     result.tenants.push_back(other.slo);
   }
 
@@ -511,9 +486,10 @@ ServiceCampaignResult ServiceCampaign::run() {
     result.fallback_emulated += tenant.fallback_emulated;
     result.rejected += tenant.rejected;
   }
-  std::sort(all_turnarounds.begin(), all_turnarounds.end());
-  result.p50_turnaround = percentile(all_turnarounds, 0.50);
-  result.p99_turnaround = percentile(all_turnarounds, 0.99);
+  if (!all_turnarounds.empty()) {
+    result.p50_turnaround = percentile(all_turnarounds, 0.50);
+    result.p99_turnaround = percentile(all_turnarounds, 0.99);
+  }
   result.fleet_budget.target = config_.slo.success_target;
   result.fleet_budget.good = result.completed;
   result.fleet_budget.bad =

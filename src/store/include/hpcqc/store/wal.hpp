@@ -19,8 +19,9 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size,
 /// One decoded journal record; `payload` views the scanned bytes (see
 /// WalScan for how long).
 struct WalRecord {
-  std::uint64_t lsn = 0;  ///< log sequence number, strictly increasing
-  std::uint8_t type = 0;  ///< RecordType (see journal.hpp)
+  std::uint64_t lsn = 0;      ///< log sequence number, strictly increasing
+  std::uint64_t segment = 0;  ///< id of the segment the frame was read from
+  std::uint8_t type = 0;      ///< RecordType (see journal.hpp)
   std::span<const std::uint8_t> payload;
 };
 

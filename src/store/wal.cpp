@@ -206,33 +206,21 @@ Wal::Wal(WalBackend& backend, Config config, obs::MetricsRegistry* metrics)
     m_bytes_ = &metrics->counter("store.wal.bytes");
   }
   // Continue the LSN sequence past everything intact on disk, and index the
-  // surviving segments so truncate_below can drop them once replayed.
-  std::uint64_t max_segment = 0;
-  for (const std::uint64_t id : backend_->segments())
-    max_segment = std::max(max_segment, id);
+  // surviving segments so truncate_below can drop them once replayed. A
+  // segment with no intact record in the scan (torn from its first frame,
+  // or past the first bad frame) is indexed as empty, so the next
+  // truncate_below removes it.
+  const std::vector<std::uint64_t> segments = backend_->segments();
+  for (const std::uint64_t id : segments) meta_[id] = SegmentMeta{};
   const WalScan scan_result = scan(*backend_);
-  for (const WalRecord& record : scan_result.records)
+  for (const WalRecord& record : scan_result.records) {
     next_lsn_ = std::max(next_lsn_, record.lsn + 1);
-  // Index which segment each record landed in (re-walk per segment).
-  for (const std::uint64_t id : backend_->segments()) {
-    const std::vector<std::uint8_t> bytes = backend_->read_segment(id);
-    SegmentMeta m;
-    std::size_t pos = 0;
-    while (bytes.size() - pos >= kFrameHeader) {
-      ByteReader header(bytes.data() + pos, kFrameHeader);
-      const std::uint32_t len = header.u32();
-      const std::uint32_t crc = header.u32();
-      if (len < 9 || bytes.size() - pos - kFrameHeader < len) break;
-      if (crc32(bytes.data() + pos + kFrameHeader, len) != crc) break;
-      ByteReader body(bytes.data() + pos + kFrameHeader, len);
-      m.max_lsn = std::max(m.max_lsn, body.u64());
-      m.any = true;
-      pos += kFrameHeader + len;
-    }
-    meta_[id] = m;
+    SegmentMeta& m = meta_[record.segment];
+    m.max_lsn = std::max(m.max_lsn, record.lsn);
+    m.any = true;
   }
   // Never append after a possibly-torn tail: always start a fresh segment.
-  current_segment_ = max_segment + 1;
+  current_segment_ = (segments.empty() ? 0 : segments.back()) + 1;
   backend_->open_segment(current_segment_);
   meta_[current_segment_] = SegmentMeta{};
   open_bytes_ = 0;
@@ -323,6 +311,7 @@ WalScan Wal::scan(const WalBackend& backend) {
       ByteReader body(bytes.data() + pos + kFrameHeader, len);
       WalRecord record;
       record.lsn = body.u64();
+      record.segment = id;
       record.type = body.u8();
       record.payload = bytes.subspan(pos + kFrameHeader + 9, len - 9);
       result.records.push_back(record);

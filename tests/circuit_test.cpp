@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
 #include "hpcqc/circuit/execute.hpp"
+#include "hpcqc/circuit/parametric.hpp"
 #include "hpcqc/circuit/text.hpp"
 #include "hpcqc/common/error.hpp"
 
@@ -216,6 +221,87 @@ TEST(Execute, CompactOutcomeOrdering) {
   // full outcome with q3=1, q1=0 -> compact bit0 (q3) = 1, bit1 (q1) = 0.
   EXPECT_EQ(compact_outcome(0b1000, qubits), 0b01u);
   EXPECT_EQ(compact_outcome(0b0010, qubits), 0b10u);
+}
+
+bool bitwise_equal(const qsim::Complex& a, const qsim::Complex& b) {
+  return std::bit_cast<std::uint64_t>(a.real()) ==
+             std::bit_cast<std::uint64_t>(b.real()) &&
+         std::bit_cast<std::uint64_t>(a.imag()) ==
+             std::bit_cast<std::uint64_t>(b.imag());
+}
+
+template <std::size_t N>
+bool bitwise_equal(const std::array<qsim::Complex, N>& a,
+                   const std::array<qsim::Complex, N>& b) {
+  for (std::size_t i = 0; i < N; ++i)
+    if (!bitwise_equal(a[i], b[i])) return false;
+  return true;
+}
+
+TEST(Execute, GateTablesMatchTheGateConstructorsBitForBit) {
+  Circuit c(2);
+  c.x(0).y(0).z(0).h(0).s(0).sdg(0).t(0).tdg(0).sx(0);
+  c.rx(0.3, 0).ry(-1.1, 0).rz(2.5, 0).u(0.1, 0.2, 0.3, 0).prx(0.7, -0.4, 0);
+  const qsim::Matrix2 expected[] = {
+      qsim::gate_x(),          qsim::gate_y(),        qsim::gate_z(),
+      qsim::gate_h(),          qsim::gate_s(),        qsim::gate_sdg(),
+      qsim::gate_t(),          qsim::gate_tdg(),      qsim::gate_sx(),
+      qsim::gate_rx(0.3),      qsim::gate_ry(-1.1),   qsim::gate_rz(2.5),
+      qsim::gate_u(0.1, 0.2, 0.3), qsim::gate_prx(0.7, -0.4)};
+  ASSERT_EQ(c.ops().size(), std::size(expected));
+  for (std::size_t i = 0; i < c.ops().size(); ++i)
+    EXPECT_TRUE(bitwise_equal(gate_matrix_1q(c.ops()[i]), expected[i]))
+        << op_name(c.ops()[i].kind);
+
+  EXPECT_TRUE(bitwise_equal(gate_matrix_2q(OpKind::kCx), qsim::gate_cx()));
+  EXPECT_TRUE(
+      bitwise_equal(gate_matrix_2q(OpKind::kSwap), qsim::gate_swap()));
+  EXPECT_TRUE(
+      bitwise_equal(gate_matrix_2q(OpKind::kIswap), qsim::gate_iswap()));
+
+  c.cz(0, 1);
+  EXPECT_THROW(gate_matrix_1q(c.ops().back()), Error);
+  EXPECT_THROW(gate_matrix_2q(OpKind::kCz), Error);
+  EXPECT_THROW(gate_matrix_2q(OpKind::kH), Error);
+}
+
+// Snapshots persist structural hashes (structure_manifest) and every bind
+// recomputes them, so these values were recorded once and must not move.
+TEST(CircuitHash, PinnedStructuralAndShapeHashes) {
+  const Circuit ghz = Circuit::ghz(5);
+  EXPECT_EQ(ghz.structural_hash(), 0xab87b85f212af0caULL);
+  EXPECT_EQ(ghz.shape_hash(), 0xa453985d61ee19deULL);
+
+  // Brickwork with a negative zero and subnormal angles: the hash keys on
+  // the exact bit pattern of every angle.
+  const auto brickwork = [](double signed_zero) {
+    constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+    const double layer_angles[2][4] = {{0.25, signed_zero, kTiny, -1.5},
+                                       {-0.75, 1.0, 0.5, -kTiny}};
+    Circuit c(4);
+    for (int layer = 0; layer < 2; ++layer) {
+      for (int q = 0; q < 4; ++q) c.rx(layer_angles[layer][q], q);
+      for (int q = layer % 2; q + 1 < 4; q += 2) c.cz(q, q + 1);
+    }
+    c.measure();
+    return c;
+  };
+  const Circuit brick = brickwork(-0.0);
+  EXPECT_EQ(brick.structural_hash(), 0xf5735ff367642920ULL);
+  EXPECT_EQ(brick.shape_hash(), 0x7b30a19f6836e4d0ULL);
+  const Circuit positive_zero = brickwork(0.0);
+  EXPECT_NE(positive_zero.structural_hash(), brick.structural_hash());
+  EXPECT_EQ(positive_zero.shape_hash(), brick.shape_hash());
+
+  // Two-symbol chain ansatz with affine symbols and one literal angle.
+  ParametricCircuit chain(3);
+  for (int q = 0; q < 3; ++q)
+    chain.ry(ParamExpr::symbol("theta", 0.5, 0.25), q);
+  for (int q = 0; q + 1 < 3; ++q) chain.cz(q, q + 1);
+  for (int q = 0; q < 3; ++q) chain.rz(ParamExpr::symbol("phi", -1.0), q);
+  chain.rx(ParamExpr::literal(0.125), 0);
+  chain.measure();
+  EXPECT_EQ(chain.structural_hash(), 0xe40339eeef43cbc5ULL);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "hpcqc/common/error.hpp"
+#include "hpcqc/common/hash.hpp"
 #include "hpcqc/common/log.hpp"
 #include "hpcqc/common/rng.hpp"
 #include "hpcqc/common/sim_clock.hpp"
@@ -177,6 +178,64 @@ TEST(Stats, PercentileAndMedian) {
   EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 1.0), 5.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 0.25), 2.0);
+
+  // Nearest rank: the value at 1-based rank ceil(q * n), clamped to [1, n].
+  const std::vector<double> one{7.5};
+  EXPECT_EQ(percentile(one, 0.0), 7.5);
+  EXPECT_EQ(percentile(one, 0.5), 7.5);
+  EXPECT_EQ(percentile(one, 1.0), 7.5);
+  EXPECT_EQ(median(one), 7.5);
+
+  const std::vector<double> four{40.0, 10.0, 30.0, 20.0};
+  EXPECT_EQ(percentile(four, 0.0), 10.0);
+  EXPECT_EQ(percentile(four, 1.0), 40.0);
+  EXPECT_EQ(percentile(four, 0.5), 20.0);
+  // ceil(0.99 * 4) = 4: the maximum, where a floor index gives the third.
+  EXPECT_EQ(percentile(four, 0.99), 40.0);
+
+  std::vector<double> fifty;
+  for (int i = 50; i >= 1; --i) fifty.push_back(static_cast<double>(i));
+  EXPECT_EQ(percentile(fifty, 0.99), 50.0);  // rank ceil(49.5) = 50
+  EXPECT_EQ(percentile(fifty, 0.50), 25.0);  // rank 25
+  EXPECT_EQ(percentile(fifty, 0.0), 1.0);
+  EXPECT_EQ(percentile(fifty, 1.0), 50.0);
+}
+
+TEST(Stats, EvenMedianIsTheMidpointBitForBit) {
+  // Calibration medians feed the device model, so the even-n midpoint is
+  // pinned to the exact expression a * 0.5 + b * 0.5.
+  const double a = 0.9987654321;
+  const double b = 0.9991234567;
+  const std::vector<double> xs{0.999999, a, 0.5, b};
+  const double expected = a * 0.5 + b * 0.5;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(median(xs)),
+            std::bit_cast<std::uint64_t>(expected));
+  const std::vector<double> huge{std::numeric_limits<double>::max(),
+                                 std::numeric_limits<double>::max()};
+  EXPECT_EQ(median(huge), std::numeric_limits<double>::max());  // no overflow
+  EXPECT_THROW(median({}), PreconditionError);
+}
+
+TEST(Hash, WordStepAndDoubleBitPattern) {
+  std::uint64_t h = kHashBasis;
+  hash_mix(h, 0x2a);
+  EXPECT_EQ(h, (14695981039346656037ULL ^ 0x2aULL) * 1099511628211ULL);
+
+  std::uint64_t from_double = kHashBasis;
+  std::uint64_t from_bits = kHashBasis;
+  hash_mix(from_double, -0.0);
+  hash_mix(from_bits, 0x8000000000000000ULL);
+  EXPECT_EQ(from_double, from_bits);
+  std::uint64_t positive_zero = kHashBasis;
+  hash_mix(positive_zero, 0.0);
+  EXPECT_NE(positive_zero, from_double);
+
+  // Negative integers widen by sign extension.
+  std::uint64_t minus_one = kHashBasis;
+  std::uint64_t all_ones = kHashBasis;
+  hash_mix(minus_one, -1);
+  hash_mix(all_ones, ~std::uint64_t{0});
+  EXPECT_EQ(minus_one, all_ones);
 }
 
 TEST(Stats, PercentileContracts) {

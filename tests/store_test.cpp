@@ -371,6 +371,66 @@ TEST(StoreWal, ReopenContinuesTheLsnSequenceInAFreshSegment) {
   EXPECT_EQ(copy_of(scan.records[2].payload), bytes_of("three"));
 }
 
+TEST(StoreWal, ReopenIndexesSegmentsSoTruncateDropsExactlyTheReplayedOnes) {
+  MemoryWalBackend backend;
+  Wal::Config config;
+  config.segment_bytes = 64;  // three 25-26 byte frames, then rotate
+  {
+    Wal wal(backend, config);
+    for (int i = 1; i <= 12; ++i)
+      wal.append(1, bytes_of("record-" + std::to_string(i)));
+  }
+  // Segments 1-4 hold lsns 1-3, 4-6, 7-9, 10-12; segment 5 was opened
+  // empty by the rotation after lsn 12.
+  EXPECT_EQ(backend.segments(), (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+  const WalScan scan = Wal::scan(backend);
+  ASSERT_EQ(scan.records.size(), 12u);
+  for (const WalRecord& record : scan.records)
+    EXPECT_EQ(record.segment, (record.lsn - 1) / 3 + 1) << record.lsn;
+
+  Wal reopened(backend, config);
+  EXPECT_EQ(reopened.next_lsn(), 13u);
+  EXPECT_EQ(backend.segments(),
+            (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
+  // Below lsn 7: segments 1 and 2 are replayed, the empty segment 5 goes
+  // too, and the open segment 6 always stays.
+  reopened.truncate_below(7);
+  EXPECT_EQ(backend.segments(), (std::vector<std::uint64_t>{3, 4, 6}));
+  reopened.truncate_below(13);
+  EXPECT_EQ(backend.segments(), (std::vector<std::uint64_t>{6}));
+}
+
+TEST(StoreWal, ReopenOverATornLastSegmentTruncatesByItsIntactFrames) {
+  MemoryWalBackend backend;
+  Wal::Config config;
+  config.segment_bytes = 64;
+  {
+    Wal wal(backend, config);
+    for (int i = 1; i <= 11; ++i)
+      wal.append(1, bytes_of("record-" + std::to_string(i)));
+  }
+  // Segment 4 holds lsns 10 and 11; the crash tears lsn 11's frame.
+  EXPECT_EQ(backend.segments(), (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  backend.truncate_total(backend.total_bytes() - 3);
+
+  Wal reopened(backend, config);
+  EXPECT_EQ(reopened.next_lsn(), 11u);
+  EXPECT_EQ(reopened.append(1, bytes_of("after")), 11u);
+  EXPECT_EQ(backend.segments(), (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+  // Segment 4's index is its one intact frame, lsn 10.
+  reopened.truncate_below(10);
+  EXPECT_EQ(backend.segments(), (std::vector<std::uint64_t>{4, 5}));
+  reopened.truncate_below(11);
+  EXPECT_EQ(backend.segments(), (std::vector<std::uint64_t>{5}));
+
+  const WalScan scan = Wal::scan(backend);
+  ASSERT_EQ(scan.records.size(), 1u);
+  EXPECT_FALSE(scan.torn);
+  EXPECT_EQ(scan.records[0].lsn, 11u);
+  EXPECT_EQ(scan.records[0].segment, 5u);
+  EXPECT_EQ(copy_of(scan.records[0].payload), bytes_of("after"));
+}
+
 TEST(StoreWal, FileBackendRoundTripsAndStopsAtCorruption) {
   const std::string dir = ::testing::TempDir() + "/hpcqc_wal_test";
   std::filesystem::remove_all(dir);
