@@ -2,18 +2,16 @@
 //
 // Expected shape: the disabled path (null tracer) is one pointer test —
 // indistinguishable from untraced code; a full span lifecycle is two small
-// vector appends plus a SplitMix64 draw (~100 ns); histogram observe is a
-// branchless lower_bound over ~20 edges; and the headline
-// BM_TrajectoryExecute stays within 5% of its untraced baseline when a
-// batch observer is attached, because events are derived from pre-drawn
-// realizations after the parallel region, never inside it.
+// vector appends plus a SplitMix64 draw (~100 ns); and histogram observe is
+// a branchless lower_bound over ~20 edges. What tracing costs an executed
+// end-to-end run is measured by perfbench (`--trace 1`), as
+// trace.overhead_ratio with its spread trace.overhead_iqr.
 
 #include <benchmark/benchmark.h>
 
 #include <iostream>
 
 #include "bench_json.hpp"
-#include "hpcqc/device/presets.hpp"
 #include "hpcqc/obs/export.hpp"
 #include "hpcqc/obs/flight_recorder.hpp"
 #include "hpcqc/obs/metrics.hpp"
@@ -26,7 +24,8 @@ using namespace hpcqc;
 void print_reproduction() {
   std::cout
       << "=== Observability overhead (tracing, metrics, flight recorder) ===\n"
-      << "Contract: no-op sink path ~0%, traced trajectory execute < 5%.\n\n";
+      << "Contract: no-op sink path ~0% (one pointer test); end-to-end\n"
+      << "tracing overhead is perfbench's trace.overhead_ratio.\n\n";
 }
 
 // One full span lifecycle: begin at an explicit timestamp, one attribute,
@@ -133,93 +132,6 @@ void BM_ChromeExport(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 200);
 }
 BENCHMARK(BM_ChromeExport)->Unit(benchmark::kMicrosecond);
-
-/// Deterministic batch observer standing in for the QRM's: one event per
-/// 64-shot batch appended to a span.
-class BatchToSpan final : public device::ExecObserver {
-public:
-  BatchToSpan(obs::Tracer& tracer, obs::SpanHandle span)
-      : tracer_(tracer), span_(span) {}
-  void on_shot_batch(std::size_t batch_index, std::size_t, std::size_t,
-                     std::size_t, Seconds elapsed) override {
-    tracer_.add_event(span_, elapsed,
-                      "shot-batch-" + std::to_string(batch_index));
-  }
-
-private:
-  obs::Tracer& tracer_;
-  obs::SpanHandle span_;
-};
-
-circuit::Circuit headline_circuit(const device::DeviceModel& device) {
-  const auto chain = device.topology().coupled_chain();
-  const int n = static_cast<int>(chain.size());
-  circuit::Circuit c(20);
-  for (int layer = 0; layer < 20; ++layer) {
-    for (int i = 0; i < n; ++i)
-      c.prx(0.3 + 0.01 * layer, 0.1 * i, chain[static_cast<std::size_t>(i)]);
-    for (int i = layer % 2; i + 1 < n; i += 2)
-      c.cz(chain[static_cast<std::size_t>(i)],
-           chain[static_cast<std::size_t>(i + 1)]);
-  }
-  c.measure();
-  return c;
-}
-
-// The BM_TrajectoryExecute baseline from bench_qsim, untraced. Compare the
-// two variants below against it: the overhead contract is < 5% with a live
-// observer, ~0% with none. The NullObserver variant is also the noise
-// floor: it runs identical code to the untraced baseline modulo one
-// pointer test, so any measured delta on it is machine drift — judge the
-// traced variant against NullObserver, not against a drifted baseline.
-void BM_TrajectoryExecuteUntraced(benchmark::State& state) {
-  Rng rng(4);
-  device::DeviceModel device = device::make_iqm20(rng);
-  const circuit::Circuit c = headline_circuit(device);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        device.execute(c, 256, rng, device::ExecutionMode::kTrajectory));
-  }
-  state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_TrajectoryExecuteUntraced)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-void BM_TrajectoryExecuteNullObserver(benchmark::State& state) {
-  Rng rng(4);
-  device::DeviceModel device = device::make_iqm20(rng);
-  const circuit::Circuit c = headline_circuit(device);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(device.execute(
-        c, 256, rng, device::ExecutionMode::kTrajectory, nullptr));
-  }
-  state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_TrajectoryExecuteNullObserver)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-void BM_TrajectoryExecuteTraced(benchmark::State& state) {
-  Rng rng(4);
-  device::DeviceModel device = device::make_iqm20(rng);
-  const circuit::Circuit c = headline_circuit(device);
-  obs::Tracer tracer;
-  for (auto _ : state) {
-    const obs::SpanHandle span = tracer.begin_span("execute", 0.0);
-    BatchToSpan observer(tracer, span);
-    benchmark::DoNotOptimize(device.execute(
-        c, 256, rng, device::ExecutionMode::kTrajectory, &observer));
-    tracer.end_span(span, 1.0);
-  }
-  state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_TrajectoryExecuteTraced)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 }  // namespace
 

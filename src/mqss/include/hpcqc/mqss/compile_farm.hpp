@@ -11,9 +11,9 @@
 namespace hpcqc::mqss {
 
 /// Fixed pool of compile workers draining a MPMC work queue. The farm runs
-/// structure-phase compiles (enqueued by QpuService::prefetch and by the
-/// QRM's dispatch loop) in parallel; single-flight dedup lives in the
-/// StructureCache, so N queued misses on the same key still compile once.
+/// structure-phase compiles (enqueued by QpuService::prefetch_structures,
+/// one task per key neither cached nor in flight) in parallel; single-flight
+/// dedup lives in the StructureCache, so a key still compiles once.
 ///
 /// Determinism contract: tasks are pure content-addressed compiles — the
 /// same key always produces the same artifact — so worker count and

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "hpcqc/circuit/parametric.hpp"
@@ -90,6 +91,12 @@ public:
   /// parametric circuit under the current calibration/health/options key.
   std::shared_ptr<const CompiledTemplate> compile_structure(
       const circuit::ParametricCircuit& circuit) const;
+  /// Same, for a caller that already holds `circuit.structural_hash()` (the
+  /// QRM computes it once per job at admission), so the lookup skips the
+  /// structure walk.
+  std::shared_ptr<const CompiledTemplate> compile_structure(
+      const circuit::ParametricCircuit& circuit,
+      std::uint64_t structural_hash) const;
 
   /// Structure phase + bind phase, uncached bind (the template itself is
   /// cached). Equivalent to compile_structure(circuit)->bind(binding).
@@ -97,16 +104,27 @@ public:
       const circuit::ParametricCircuit& circuit,
       const std::map<std::string, double>& binding) const;
 
-  /// Queues the structure compile for `circuit` on the attached farm (a
-  /// no-op without a farm or with the cache disabled). The QRM prefetches
-  /// every queued parametric job before dispatching, so N distinct misses
-  /// compile concurrently while single-flight dedup keeps each key's
-  /// compile unique.
-  void prefetch_structure(
-      std::shared_ptr<const circuit::ParametricCircuit> circuit) const;
+  /// One queued parametric job in a prefetch batch. `structural_hash` must
+  /// equal `circuit->structural_hash()`; the owner computes it once.
+  struct StructureRef {
+    std::shared_ptr<const circuit::ParametricCircuit> circuit;
+    std::uint64_t structural_hash = 0;
+  };
+
+  /// Warms the structure cache for a batch of queued jobs on the attached
+  /// farm (a no-op without a farm or with the cache disabled). The QDMI
+  /// health fingerprint is read once per call, each distinct structure's
+  /// key is mixed from it, and a farm task is queued only for keys the
+  /// cache holds neither finished nor in flight (StructureCache::resident).
+  /// A skipped key is one whose task would have found it resident and
+  /// returned without compiling, so compile timing, cache stats and LRU
+  /// order are those of one task per job. The QRM calls this on every
+  /// dispatch pass and after each submit_batch, so N distinct misses
+  /// compile concurrently.
+  void prefetch_structures(std::span<const StructureRef> batch) const;
 
   /// Attaches a compile-worker pool (must outlive the service; nullptr
-  /// detaches). Only prefetch_structure() uses it — foreground compiles
+  /// detaches). Only prefetch_structures() uses it — foreground compiles
   /// stay on the calling thread, so results and stats are bit-identical at
   /// any worker count.
   void set_compile_farm(CompileFarm* farm) { farm_ = farm; }
@@ -156,14 +174,17 @@ public:
 
 private:
   bool fault_active(fault::FaultSite site) const;
-  /// Content-addressed cache key for the current epoch / health / options.
-  std::uint64_t cache_key(std::uint64_t structural_hash) const;
+  /// Content-addressed cache key for the current epoch / options and the
+  /// given QDMI health fingerprint.
+  std::uint64_t cache_key(std::uint64_t structural_hash,
+                          std::uint64_t health) const;
   /// Cache lookup for a concrete circuit, with metric mirroring.
   StructureCache::Lookup lookup_concrete(
       const circuit::Circuit& circuit) const;
   /// Cache lookup for a parametric structure, with metric mirroring.
   StructureCache::Lookup lookup_structure(
-      const circuit::ParametricCircuit& circuit) const;
+      const circuit::ParametricCircuit& circuit,
+      std::uint64_t structural_hash) const;
   /// Mirrors a lookup outcome into the bound counters/gauges (calling
   /// thread only).
   void mirror_cache_metrics(bool hit, bool structure) const;

@@ -66,6 +66,10 @@ public:
   /// hit/miss statistics are identical at any worker count.
   void prefetch(std::uint64_t key, const Factory& factory);
 
+  /// True when `key` is cached or in flight — exactly when prefetch()
+  /// would return without compiling. Touches neither LRU order nor stats.
+  bool resident(std::uint64_t key) const;
+
   /// Capacity must be positive; shrinking evicts least-recently-used
   /// entries immediately.
   void set_capacity(std::size_t capacity);

@@ -1,5 +1,7 @@
 #include "hpcqc/mqss/service.hpp"
 
+#include <algorithm>
+
 #include "hpcqc/circuit/execute.hpp"
 #include "hpcqc/common/error.hpp"
 #include "hpcqc/common/hash.hpp"
@@ -79,7 +81,8 @@ bool QpuService::fault_active(fault::FaultSite site) const {
          injector_->active(site, clock_->now());
 }
 
-std::uint64_t QpuService::cache_key(std::uint64_t structural_hash) const {
+std::uint64_t QpuService::cache_key(std::uint64_t structural_hash,
+                                    std::uint64_t health) const {
   std::uint64_t hash = kHashBasis;
   hash_mix(hash, structural_hash);
   // A recalibration bumps the device's epoch counter; entries keyed under
@@ -87,7 +90,7 @@ std::uint64_t QpuService::cache_key(std::uint64_t structural_hash) const {
   // trust. (The counter — not the calibration timestamp — is keyed: two
   // calibrations can land at the same simulated instant.)
   hash_mix(hash, device_->calibration_epoch());
-  hash_mix(hash, health_fingerprint(*qdmi_));
+  hash_mix(hash, health);
   hash_mix(hash, static_cast<std::uint64_t>(options_.placement) + 1);
   hash_mix(hash, options_.optimize ? 0x6f7074ULL : 0x726177ULL);
   hash_mix(hash, options_.fidelity_aware_routing ? 0x666964ULL : 0x686f70ULL);
@@ -124,7 +127,8 @@ void QpuService::mirror_cache_metrics(bool hit, bool structure) const {
 
 StructureCache::Lookup QpuService::lookup_concrete(
     const circuit::Circuit& circuit) const {
-  const std::uint64_t key = cache_key(circuit.structural_hash());
+  const std::uint64_t key =
+      cache_key(circuit.structural_hash(), health_fingerprint(*qdmi_));
   auto lookup = cache_.get_or_compile(key, [this, &circuit] {
     return std::make_shared<const CompiledTemplate>(
         as_template(compile(circuit, *qdmi_, options_)));
@@ -134,8 +138,10 @@ StructureCache::Lookup QpuService::lookup_concrete(
 }
 
 StructureCache::Lookup QpuService::lookup_structure(
-    const circuit::ParametricCircuit& circuit) const {
-  const std::uint64_t key = cache_key(circuit.structural_hash());
+    const circuit::ParametricCircuit& circuit,
+    std::uint64_t structural_hash) const {
+  const std::uint64_t key =
+      cache_key(structural_hash, health_fingerprint(*qdmi_));
   auto lookup = cache_.get_or_compile(key, [this, &circuit] {
     return std::make_shared<const CompiledTemplate>(
         compile_template(circuit, *qdmi_, options_));
@@ -298,7 +304,7 @@ CompiledProgram QpuService::compile_parametric_traced(
   {
     obs::Span structure_span = compile_span.child("compile.structure");
     if (cache_enabled_) {
-      auto lookup = lookup_structure(circuit);
+      auto lookup = lookup_structure(circuit, circuit.structural_hash());
       tmpl = lookup.value;
       hit = lookup.hit;
     } else {
@@ -366,10 +372,16 @@ CompiledProgram QpuService::compile_only(const circuit::Circuit& circuit) const 
 
 std::shared_ptr<const CompiledTemplate> QpuService::compile_structure(
     const circuit::ParametricCircuit& circuit) const {
+  return compile_structure(circuit, circuit.structural_hash());
+}
+
+std::shared_ptr<const CompiledTemplate> QpuService::compile_structure(
+    const circuit::ParametricCircuit& circuit,
+    std::uint64_t structural_hash) const {
   if (!cache_enabled_)
     return std::make_shared<const CompiledTemplate>(
         compile_template(circuit, *qdmi_, options_));
-  return lookup_structure(circuit).value;
+  return lookup_structure(circuit, structural_hash).value;
 }
 
 CompiledProgram QpuService::compile_parametric(
@@ -378,21 +390,30 @@ CompiledProgram QpuService::compile_parametric(
   return compile_structure(circuit)->bind(binding);
 }
 
-void QpuService::prefetch_structure(
-    std::shared_ptr<const circuit::ParametricCircuit> circuit) const {
-  if (farm_ == nullptr || !cache_enabled_ || circuit == nullptr) return;
-  // The key (and its QDMI health queries) is computed here, on the
-  // orchestration thread — workers only run the pure compile.
-  const std::uint64_t key = cache_key(circuit->structural_hash());
-  StructureCache* cache = &cache_;
-  const qdmi::DeviceInterface* qdmi = qdmi_;
-  const CompilerOptions options = options_;
-  farm_->enqueue([cache, key, qdmi, options, circuit = std::move(circuit)] {
-    cache->prefetch(key, [&] {
-      return std::make_shared<const CompiledTemplate>(
-          compile_template(*circuit, *qdmi, options));
+void QpuService::prefetch_structures(std::span<const StructureRef> batch) const {
+  if (farm_ == nullptr || !cache_enabled_ || batch.empty()) return;
+  // Keys and their QDMI health queries are computed here, on the
+  // orchestration thread — workers only run the pure compile. A queue
+  // holds a handful of shapes, so a linear scan finds repeats.
+  const std::uint64_t health = health_fingerprint(*qdmi_);
+  std::vector<std::uint64_t> seen;
+  for (const StructureRef& ref : batch) {
+    if (std::find(seen.begin(), seen.end(), ref.structural_hash) != seen.end())
+      continue;
+    seen.push_back(ref.structural_hash);
+    const std::uint64_t key = cache_key(ref.structural_hash, health);
+    // A resident key's task would return without compiling; skip it.
+    if (cache_.resident(key)) continue;
+    StructureCache* cache = &cache_;
+    const qdmi::DeviceInterface* qdmi = qdmi_;
+    const CompilerOptions options = options_;
+    farm_->enqueue([cache, key, qdmi, options, circuit = ref.circuit] {
+      cache->prefetch(key, [&] {
+        return std::make_shared<const CompiledTemplate>(
+            compile_template(*circuit, *qdmi, options));
+      });
     });
-  });
+  }
 }
 
 void QpuService::set_compile_cache_enabled(bool enabled) {

@@ -106,6 +106,11 @@ void StructureCache::prefetch(std::uint64_t key, const Factory& factory) {
   promise.set_value(std::move(value));
 }
 
+bool StructureCache::resident(std::uint64_t key) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.contains(key) || inflight_.contains(key);
+}
+
 void StructureCache::set_capacity(std::size_t capacity) {
   expects(capacity > 0, "StructureCache: capacity must be positive");
   std::lock_guard<std::mutex> lock(mutex_);

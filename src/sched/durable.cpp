@@ -14,7 +14,11 @@ QrmDurableState Qrm::capture_durable() const {
   state.queue = queue_;
   state.retry_queue = retry_queue_;
   state.records = records_;
-  state.pending = pending_jobs_;
+  for (const auto& [id, pending] : pending_jobs_) {
+    state.pending.emplace_hint(state.pending.end(), id, pending.job);
+    if (pending.job.parametric != nullptr)
+      state.structure_manifest.push_back(pending.structure);
+  }
   state.dead_letters = dead_letters_;
   for (int p = 0; p < 3; ++p) {
     state.class_buckets[p].tokens = buckets_[p].tokens;
@@ -24,9 +28,6 @@ QrmDurableState Qrm::capture_durable() const {
     state.tenants.emplace(
         project,
         TokenBucketState{tenant.bucket.tokens, tenant.bucket.last_refill});
-  for (const auto& [id, job] : pending_jobs_)
-    if (job.parametric != nullptr)
-      state.structure_manifest.push_back(job.parametric->structural_hash());
   std::sort(state.structure_manifest.begin(), state.structure_manifest.end());
   state.structure_manifest.erase(std::unique(state.structure_manifest.begin(),
                                              state.structure_manifest.end()),
@@ -46,7 +47,7 @@ RestoreSummary Qrm::restore_durable(const QrmDurableState& state) {
   status_ = online_ ? qdmi::DeviceStatus::kIdle : qdmi::DeviceStatus::kOffline;
   next_id_ = state.next_id;
   records_ = state.records;
-  pending_jobs_ = state.pending;
+  for (const auto& [id, job] : state.pending) keep_pending(id, job);
   dead_letters_ = state.dead_letters;
   for (int p = 0; p < 3; ++p) {
     if (!state.class_buckets[p].observed()) continue;
@@ -68,11 +69,11 @@ RestoreSummary Qrm::restore_durable(const QrmDurableState& state) {
       summary.backfilled_traces += 1;
     }
   }
-  for (auto& [id, job] : pending_jobs_) {
+  for (auto& [id, pending] : pending_jobs_) {
     const auto it = records_.find(id);
     if (it == records_.end()) continue;
-    if (!job.trace.valid() && it->second.trace.valid()) {
-      job.trace = it->second.trace;
+    if (!pending.job.trace.valid() && it->second.trace.valid()) {
+      pending.job.trace = it->second.trace;
       summary.backfilled_traces += 1;
     }
   }

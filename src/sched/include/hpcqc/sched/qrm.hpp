@@ -51,8 +51,10 @@ struct QuantumJob {
   /// `parametric` at `binding` for admission estimates, and at dispatch
   /// compiles through the service's two-phase structure cache — the
   /// structure phase is shared across every job with the same circuit
-  /// shape, and queued structures are prefetched on the compile farm before
-  /// dispatch. `circuit` is ignored and overwritten with the binding.
+  /// shape. The QRM hashes the structure once, at admission; each dispatch
+  /// pass hands the queued structures to the service's batched prefetch,
+  /// which queues one farm compile per structure not yet cached.
+  /// `circuit` is ignored and overwritten with the binding.
   std::shared_ptr<const circuit::ParametricCircuit> parametric;
   std::map<std::string, double> binding;
   /// Devices this job has been migrated off (see Fleet). Carried so the
@@ -324,10 +326,10 @@ public:
 
   /// Admits a whole batch in order (the sharded-admission drain path) and
   /// returns one id per job. Equivalent to calling submit() in a loop,
-  /// plus batched dispatch into the compile farm: every admitted
-  /// parametric structure is prefetched once at the end of the batch, so
-  /// the farm overlaps structure compiles with the rest of the ingest
-  /// window instead of stalling the first dispatch.
+  /// plus one batched prefetch of the admitted parametric structures at
+  /// the end: the farm compiles each structure not yet cached while the
+  /// rest of the ingest window runs, instead of stalling the first
+  /// dispatch.
   std::vector<int> submit_batch(std::vector<QuantumJob> jobs);
 
   /// Estimated time until a job submitted now would start: the remainder
@@ -377,10 +379,11 @@ public:
 
   /// Attaches the compile service parametric jobs dispatch through (must
   /// outlive the QRM; nullptr detaches — parametric submissions then throw
-  /// at submit). When the service has a compile farm attached, the QRM
-  /// prefetches every queued parametric structure and waits for the farm to
-  /// go idle before each dispatch, so all device mutation stays on the
-  /// scheduler thread while compiles are in flight.
+  /// at submit). When the service has a compile farm attached, each
+  /// dispatch pass hands every queued parametric job to one batched
+  /// prefetch (a farm task only per structure neither cached nor in
+  /// flight) and then waits for the farm to go idle, so all device mutation
+  /// stays on the scheduler thread while compiles are in flight.
   void set_compile_service(mqss::QpuService* service) {
     compile_service_ = service;
   }
@@ -564,6 +567,11 @@ private:
   /// Stamps device tag + simulated time and forwards to the journal sink
   /// (no-op without one).
   void emit(JobEvent event);
+  /// Stores an admitted job's payload, hashing a parametric structure once.
+  void keep_pending(int id, QuantumJob job);
+  /// Hands the parametric jobs among `ids` to the compile service's batched
+  /// prefetch. False when there is no farm or none of them is parametric.
+  bool prefetch_structures(const std::vector<int>& ids);
 
   device::DeviceModel* device_;
   Config config_;
@@ -603,7 +611,14 @@ private:
   std::vector<int> queue_;
   std::vector<int> retry_queue_;  ///< ids waiting out next_retry_at
   std::map<int, QuantumJobRecord> records_;
-  std::map<int, QuantumJob> pending_jobs_;
+  /// An admitted job's payload plus its parametric structure's hash
+  /// (structural_hash() of `job.parametric`, 0 for a concrete job), taken
+  /// once at admission and dropped with the payload when the job leaves.
+  struct PendingJob {
+    QuantumJob job;
+    std::uint64_t structure = 0;
+  };
+  std::map<int, PendingJob> pending_jobs_;
   std::vector<DeadLetterRecord> dead_letters_;
 
   calibration::AutoCalibrationController controller_;

@@ -276,14 +276,14 @@ Qrm::TenantState* Qrm::tenant_state(const std::string& project) {
 void Qrm::track_enqueue(int id, bool retry) {
   const Seconds cost = records_.at(id).estimated_cost;
   (retry ? retry_work_ : queued_work_) += cost;
-  const QuantumJob& job = pending_jobs_.at(id);
+  const QuantumJob& job = pending_jobs_.at(id).job;
   if (!job.project.empty()) tenant_state(job.project)->pending += 1;
 }
 
 void Qrm::track_dequeue(int id, bool retry) {
   const Seconds cost = records_.at(id).estimated_cost;
   (retry ? retry_work_ : queued_work_) -= cost;
-  const QuantumJob& job = pending_jobs_.at(id);
+  const QuantumJob& job = pending_jobs_.at(id).job;
   if (!job.project.empty()) {
     TenantState* tenant = tenant_state(job.project);
     if (tenant->pending > 0) tenant->pending -= 1;
@@ -575,11 +575,11 @@ int Qrm::submit(QuantumJob job) {
                       obs::SpanStatus::kOk);
   }
   records_.emplace(id, std::move(record));
-  pending_jobs_.emplace(id, std::move(job));
+  keep_pending(id, std::move(job));
   queue_.push_back(id);
   track_enqueue(id, /*retry=*/false);
   if (journal_ != nullptr) {
-    const QuantumJob& admitted = pending_jobs_.at(id);
+    const QuantumJob& admitted = pending_jobs_.at(id).job;
     const TokenBucket& b = bucket(admitted.priority);
     JobEvent event;
     event.kind = JobEvent::Kind::kAdmitted;
@@ -601,19 +601,32 @@ std::vector<int> Qrm::submit_batch(std::vector<QuantumJob> jobs) {
   ids.reserve(jobs.size());
   for (QuantumJob& job : jobs) ids.push_back(submit(std::move(job)));
   // Batched dispatch into the compile farm: warm every admitted parametric
-  // structure now (single-flight dedup collapses repeats), so the farm
-  // overlaps compilation with the rest of the ingest window. No wait_idle
-  // here — the dispatch path still barriers before mutating the device.
-  if (compile_service_ != nullptr &&
-      compile_service_->compile_farm() != nullptr) {
-    for (const int id : ids) {
-      const auto it = pending_jobs_.find(id);
-      if (it == pending_jobs_.end() || it->second.parametric == nullptr)
-        continue;
-      compile_service_->prefetch_structure(it->second.parametric);
-    }
-  }
+  // structure now, so the farm overlaps compilation with the rest of the
+  // ingest window. No wait_idle here — advance_to() barriers on the farm
+  // before it drifts or recalibrates the device.
+  prefetch_structures(ids);
   return ids;
+}
+
+void Qrm::keep_pending(int id, QuantumJob job) {
+  const std::uint64_t structure =
+      job.parametric != nullptr ? job.parametric->structural_hash() : 0;
+  pending_jobs_.emplace(id, PendingJob{std::move(job), structure});
+}
+
+bool Qrm::prefetch_structures(const std::vector<int>& ids) {
+  if (compile_service_ == nullptr ||
+      compile_service_->compile_farm() == nullptr)
+    return false;
+  std::vector<mqss::QpuService::StructureRef> batch;
+  for (const int id : ids) {
+    const auto it = pending_jobs_.find(id);
+    if (it == pending_jobs_.end() || it->second.job.parametric == nullptr)
+      continue;
+    batch.push_back({it->second.job.parametric, it->second.structure});
+  }
+  compile_service_->prefetch_structures(batch);
+  return !batch.empty();
 }
 
 bool Qrm::cancel(int id, const std::string& reason) {
@@ -664,7 +677,7 @@ const QuantumJob& Qrm::pending_job(int id) const {
   if (it == pending_jobs_.end())
     throw NotFoundError("Qrm: job " + std::to_string(id) +
                         " has no pending payload");
-  return it->second;
+  return it->second.job;
 }
 
 std::optional<Qrm::MigratedJob> Qrm::extract_job(int id,
@@ -680,7 +693,7 @@ std::optional<Qrm::MigratedJob> Qrm::extract_job(int id,
   std::erase(retry_queue_, id);
   MigratedJob out;
   out.id = id;
-  out.job = std::move(pending_jobs_.at(id));
+  out.job = std::move(pending_jobs_.at(id).job);
   pending_jobs_.erase(id);
   record.state = QuantumJobState::kMigrated;
   record.end_time = now_;
@@ -776,7 +789,7 @@ bool Qrm::dead_letter_job(int id, const std::string& reason) {
     event.reason = reason;
     emit(event);
   }
-  push_dead_letter(record, std::move(pending_jobs_.at(id)));
+  push_dead_letter(record, std::move(pending_jobs_.at(id).job));
   pending_jobs_.erase(id);
   m_failed_->inc();
   note_queue_gauge();
@@ -949,7 +962,7 @@ void Qrm::promote_due_retries() {
 
 void Qrm::fail_active_job() {
   auto& record = records_.at(active_job_);
-  const QuantumJob& job = pending_jobs_.at(active_job_);
+  const QuantumJob& job = pending_jobs_.at(active_job_).job;
   m_execution_faults_->inc();
   // Retries are metered: the failed attempt occupied the machine for its
   // full wall time, and the project pays for it (shots yield nothing).
@@ -980,7 +993,7 @@ void Qrm::fail_active_job() {
       event.reason = record.failure_reason;
       emit(event);
     }
-    push_dead_letter(record, std::move(pending_jobs_.at(active_job_)));
+    push_dead_letter(record, std::move(pending_jobs_.at(active_job_).job));
     m_failed_->inc();
     pending_jobs_.erase(active_job_);
     if (tracer_ != nullptr) {
@@ -1069,7 +1082,7 @@ void Qrm::finish_phase(Rng& rng) {
         log_->debug(now_, "qrm",
                     "job '" + record.name + "' completed (est. fidelity " +
                         std::to_string(record.result.estimated_fidelity) + ")");
-      const QuantumJob& job = pending_jobs_.at(active_job_);
+      const QuantumJob& job = pending_jobs_.at(active_job_).job;
       if (accounting_ != nullptr && !job.project.empty())
         accounting_->charge(job.project, record.result.wall_time,
                             record.shots);
@@ -1228,29 +1241,21 @@ void Qrm::begin_next_work() {
   //    supervisor unmasks after targeted recalibration); the first runnable
   //    job is picked instead, so healthy capacity keeps flowing.
   if (!queue_.empty()) {
-    // Warm the structure cache for every queued parametric job before
-    // picking: distinct shapes compile concurrently on the farm while
-    // single-flight dedup collapses duplicates. wait_idle() brackets the
-    // farm work inside this scheduler pass, so later device mutation
-    // (drift, recalibration) never races an in-flight compile.
-    if (compile_service_ != nullptr &&
-        compile_service_->compile_farm() != nullptr) {
-      bool any = false;
-      for (int queued_id : queue_) {
-        const QuantumJob& queued = pending_jobs_.at(queued_id);
-        if (queued.parametric == nullptr) continue;
-        compile_service_->prefetch_structure(queued.parametric);
-        any = true;
-      }
-      if (any) compile_service_->compile_farm()->wait_idle();
-    }
+    // Warm the structure cache for the queued parametric jobs before
+    // picking: one farm task per distinct structure not yet cached (or in
+    // flight) under the current epoch and mask, so distinct shapes compile
+    // concurrently. wait_idle() brackets the farm work inside this
+    // scheduler pass, so later device mutation (drift, recalibration)
+    // never races an in-flight compile.
+    if (prefetch_structures(queue_))
+      compile_service_->compile_farm()->wait_idle();
     std::size_t pick = 0;
     if (!device_->health().all_healthy()) {
       const int capacity = static_cast<int>(
           device_->health().largest_component(device_->topology()).size());
       pick = queue_.size();
       for (std::size_t i = 0; i < queue_.size(); ++i) {
-        const QuantumJob& candidate = pending_jobs_.at(queue_[i]);
+        const QuantumJob& candidate = pending_jobs_.at(queue_[i]).job;
         // A parametric job recompiles against the masked topology at
         // dispatch, so it is runnable whenever its logical width fits the
         // healthy component; a pre-compiled job must be legal as-is.
@@ -1282,7 +1287,8 @@ void Qrm::begin_next_work() {
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
     note_queue_gauge();
     auto& record = records_.at(id);
-    const QuantumJob& job = pending_jobs_.at(id);
+    const PendingJob& pending = pending_jobs_.at(id);
+    const QuantumJob& job = pending.job;
     record.state = QuantumJobState::kRunning;
     record.start_time = now_;
     record.attempts += 1;
@@ -1323,10 +1329,13 @@ void Qrm::begin_next_work() {
     }
     if (job.parametric != nullptr) {
       // Two-phase path: structure from the shared cache (warmed by the
-      // prefetch above), angles patched in, and the device-level program
-      // rebound instead of recompiled when the shape repeats.
+      // prefetch above, keyed by the admission-time hash), angles patched
+      // in, and the device-level program rebound instead of recompiled
+      // when the shape repeats.
       const mqss::CompiledProgram program =
-          compile_service_->compile_parametric(*job.parametric, job.binding);
+          compile_service_
+              ->compile_structure(*job.parametric, pending.structure)
+              ->bind(job.binding);
       record.result =
           device_->execute(program.native_circuit, job.shots, *rng_,
                            config_.execution_mode, observer, &prepared_);
@@ -1351,6 +1360,11 @@ void Qrm::begin_next_work() {
 
 void Qrm::advance_to(Seconds t) {
   expects(t >= now_, "Qrm::advance_to: time cannot go backwards");
+  // Compiles that submit_batch() left on the farm read the live device;
+  // they finish before this call drifts or recalibrates it.
+  if (compile_service_ != nullptr &&
+      compile_service_->compile_farm() != nullptr)
+    compile_service_->compile_farm()->wait_idle();
   while (true) {
     if (!online_) {
       apply_drift_until(t);

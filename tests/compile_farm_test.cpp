@@ -225,12 +225,27 @@ TEST(StructureCache, PrefetchIsIdempotentWhileCachedOrInFlight) {
     ++compiles;
     return make_value();
   };
-  cache.prefetch(11, counting);
+  // resident() reports exactly the skip condition: in flight while the
+  // factory runs, cached after, and gone once evicted.
+  EXPECT_FALSE(cache.resident(11));
+  bool in_flight = false;
+  cache.prefetch(11, [&] {
+    in_flight = cache.resident(11);
+    return counting();
+  });
+  EXPECT_TRUE(in_flight);
+  EXPECT_TRUE(cache.resident(11));
   cache.prefetch(11, counting);  // already cached: no recompile
   EXPECT_EQ(compiles, 1);
   cache.get_or_compile(11, counting);
   cache.prefetch(11, counting);
   EXPECT_EQ(compiles, 1);
+  EXPECT_EQ(cache.stats().misses, 1u);  // resident() counts nothing
+  EXPECT_EQ(cache.stats().hits, 0u);
+  cache.set_capacity(1);
+  cache.prefetch(12, counting);  // evicts 11
+  EXPECT_FALSE(cache.resident(11));
+  EXPECT_TRUE(cache.resident(12));
 }
 
 TEST(StructureCache, FarmPrefetchesLandDeterministicallyForForegroundGets) {

@@ -1,24 +1,32 @@
 // The multi-QPU fleet: config validation, fidelity/wait device selection,
 // fleet admission (refuse only when no device can serve), cross-device
 // migration off offline and masked devices, migration dead-letters, trace
-// continuity across hops, and calibration-slot coordination.
+// continuity across hops, and calibration-slot coordination. PrefetchOracle
+// pins the batched structure prefetch that fronts each device's compile
+// farm.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numbers>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "hpcqc/circuit/circuit.hpp"
+#include "hpcqc/circuit/parametric.hpp"
 
 #include "hpcqc/calibration/benchmark.hpp"
 #include "hpcqc/common/error.hpp"
 #include "hpcqc/device/presets.hpp"
 #include "hpcqc/fault/fault_plan.hpp"
 #include "hpcqc/fault/injector.hpp"
+#include "hpcqc/mqss/compile_farm.hpp"
+#include "hpcqc/mqss/service.hpp"
 #include "hpcqc/obs/trace.hpp"
+#include "hpcqc/qdmi/model_device.hpp"
 #include "hpcqc/sched/fleet.hpp"
 
 namespace hpcqc::sched {
@@ -436,6 +444,296 @@ TEST_F(FleetTest, DeadLetterReplayDuringMigrationNeitherLosesNorDuplicates) {
   EXPECT_EQ(audit.submitted, 8u);  // 6 originals + 2 replays
   EXPECT_EQ(audit.completed, 6u);
   EXPECT_EQ(audit.failed, 2u);
+}
+
+// PrefetchOracle: each dispatch pass hands the queued parametric jobs to
+// one batched prefetch, which queues a farm task only for structures whose
+// key is neither cached nor in flight. The oracle pins that this changes no
+// outcome, costs one task per key compiled, re-prefetches every queued
+// shape once after an epoch bump or a mask flip, and still serves correct
+// programs when the cache is too small to hold the queue's shapes.
+
+/// Three 3-qubit structures, one symbol each. At t = 0 every shape
+/// measures |000>; at t = pi the ry flips one qubit (0, 1 or 2 by shape),
+/// and the cz only adds a phase, so each job has one ideal outcome.
+std::shared_ptr<const circuit::ParametricCircuit> oracle_shape(int shape) {
+  const circuit::ParamExpr t = circuit::ParamExpr::symbol("t");
+  circuit::ParametricCircuit ansatz(3);
+  if (shape == 0) ansatz.ry(t, 0).cz(0, 1);
+  if (shape == 1) ansatz.ry(t, 1).cz(1, 2);
+  if (shape == 2) ansatz.ry(t, 2).cz(1, 2);
+  ansatz.measure();
+  return std::make_shared<const circuit::ParametricCircuit>(
+      std::move(ansatz));
+}
+
+QuantumJob oracle_job(int shape, int index) {
+  QuantumJob job;
+  job.name = "oracle-" + std::to_string(index);
+  job.shots = 100;
+  job.parametric = oracle_shape(shape);
+  job.binding = {{"t", index % 2 == 0 ? 0.0 : std::numbers::pi}};
+  return job;
+}
+
+std::uint64_t oracle_outcome(int shape, int index) {
+  return index % 2 == 0 ? 0 : std::uint64_t{1} << shape;
+}
+
+/// True when the job's most frequent outcome is its ideal one, with a clear
+/// majority: a wrong template or a wrong binding flips the histogram.
+bool ran_correct_program(const QuantumJobRecord& record,
+                         std::uint64_t expected) {
+  const auto& counts = record.result.counts;
+  return counts.total_shots() > 0 &&
+         2 * counts.count_of(expected) > counts.total_shots();
+}
+
+std::string outcome_fingerprint(const Fleet& fleet, int id) {
+  const Fleet::FleetJobRecord& placed = fleet.record(id);
+  std::ostringstream out;
+  out << std::hexfloat << placed.device << ':' << placed.migrations;
+  if (placed.device < 0) return out.str();
+  const QuantumJobRecord& record =
+      fleet.qrm(placed.device).record(placed.local_id);
+  out << ' ' << static_cast<int>(record.state) << ' ' << record.start_time
+      << ' ' << record.end_time << ' ' << record.result.estimated_fidelity;
+  for (const auto& [outcome, count] : record.result.counts.raw())
+    out << ' ' << outcome << '=' << count;
+  return out.str();
+}
+
+std::string stats_fingerprint(const mqss::StructureCacheStats& stats) {
+  return std::to_string(stats.hits) + "/" + std::to_string(stats.misses) +
+         "/" + std::to_string(stats.evictions) + "/" +
+         std::to_string(stats.single_flight_joins) + "/" +
+         std::to_string(stats.size);
+}
+
+TEST(PrefetchOracle, FleetSliceIsIdenticalAtAnyFarmWidth) {
+  // Width 0 runs no farm (every structure compiles in the foreground at
+  // dispatch); 1 and 3 prefetch. Outcomes and cache statistics must not
+  // tell them apart.
+  struct Run {
+    std::vector<std::string> outcomes;
+    std::vector<std::string> stats;
+  };
+  const auto run = [](std::size_t workers) {
+    Rng rng(33);
+    Fleet::Config config = fast_config();
+    config.qrm.execution_mode = device::ExecutionMode::kAuto;
+    config.compile_workers = workers;
+    Fleet fleet(config, rng);
+    for (int d = 0; d < 3; ++d)
+      fleet.add_device(
+          std::make_unique<device::DeviceModel>(device::make_iqm20(rng)));
+    std::vector<int> ids;
+    for (int i = 0; i < 36; ++i) ids.push_back(fleet.submit(oracle_job(i % 3, i)));
+    fleet.advance_to(minutes(15.0));
+    for (int i = 36; i < 72; ++i) ids.push_back(fleet.submit(oracle_job(i % 3, i)));
+    fleet.drain();
+    Run result;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const int index = static_cast<int>(i);
+      EXPECT_EQ(fleet.state(ids[i]), QuantumJobState::kCompleted) << index;
+      const Fleet::FleetJobRecord& placed = fleet.record(ids[i]);
+      EXPECT_TRUE(ran_correct_program(
+          fleet.qrm(placed.device).record(placed.local_id),
+          oracle_outcome(index % 3, index)))
+          << index;
+      result.outcomes.push_back(outcome_fingerprint(fleet, ids[i]));
+    }
+    for (int d = 0; d < 3; ++d)
+      result.stats.push_back(stats_fingerprint(fleet.service(d).cache_stats()));
+    return result;
+  };
+  const Run inline_compiles = run(0);
+  for (const std::size_t workers : {1u, 3u}) {
+    const Run farmed = run(workers);
+    EXPECT_EQ(farmed.outcomes, inline_compiles.outcomes) << workers;
+    EXPECT_EQ(farmed.stats, inline_compiles.stats) << workers;
+  }
+}
+
+/// One QRM on an IQM-20 twin fronted by a farm-backed compile service.
+struct PrefetchOracleQrm {
+  PrefetchOracleQrm(std::size_t workers, std::size_t cache_capacity = 256)
+      : rng_(21),
+        device_(device::make_iqm20(rng_)),
+        view_(device_, clock_),
+        service_rng_(5),
+        service_(device_, view_, service_rng_),
+        farm_(workers),
+        qrm_(device_, config(), rng_) {
+    service_.set_compile_farm(&farm_);
+    service_.set_compile_cache_capacity(cache_capacity);
+    qrm_.set_compile_service(&service_);
+  }
+
+  static Qrm::Config config() {
+    Qrm::Config config;
+    config.benchmark.qubits = 8;
+    config.benchmark.shots = 200;
+    config.benchmark.analytic = true;
+    config.execution_mode = device::ExecutionMode::kAuto;
+    config.benchmark_overhead = minutes(2.0);
+    return config;
+  }
+
+  Rng rng_;
+  SimClock clock_;
+  device::DeviceModel device_;
+  qdmi::ModelBackedDevice view_;
+  Rng service_rng_;
+  mqss::QpuService service_;
+  mqss::CompileFarm farm_;
+  Qrm qrm_;
+};
+
+TEST(PrefetchOracle, FarmTasksEqualDistinctKeysCompiled) {
+  // Three shapes, eight jobs each, queued at once; nothing bumps the epoch
+  // while they drain. Every dispatch pass sees the queued shapes, but a
+  // key is compiled once, and a farm task is only spent on a compile. The
+  // submit_batch path prefetches too (without waiting), so the first pass
+  // also meets keys still in flight.
+  for (const std::size_t workers : {0u, 1u, 3u}) {
+    for (const bool batched : {false, true}) {
+      PrefetchOracleQrm oracle(workers);
+      const std::uint64_t epoch = oracle.device_.calibration_epoch();
+      std::vector<QuantumJob> jobs;
+      for (int i = 0; i < 24; ++i) jobs.push_back(oracle_job(i % 3, i));
+      std::vector<int> ids;
+      if (batched) {
+        ids = oracle.qrm_.submit_batch(std::move(jobs));
+      } else {
+        for (QuantumJob& job : jobs) ids.push_back(oracle.qrm_.submit(std::move(job)));
+      }
+      oracle.qrm_.drain();
+      ASSERT_EQ(oracle.device_.calibration_epoch(), epoch)
+          << "the oracle needs one epoch for the whole drain";
+      for (const int id : ids)
+        EXPECT_EQ(oracle.qrm_.record(id).state, QuantumJobState::kCompleted);
+      const mqss::StructureCacheStats stats = oracle.service_.cache_stats();
+      EXPECT_EQ(stats.size, 3u);
+      EXPECT_EQ(stats.misses, 3u) << "one first touch per compiled key";
+      EXPECT_EQ(stats.hits, 21u);
+      EXPECT_EQ(oracle.farm_.tasks_executed(), 3u)
+          << "workers " << workers << (batched ? ", submit_batch" : "");
+    }
+  }
+}
+
+/// The ModelBackedDevice view with one qubit's kOperational bit switchable
+/// on its own: a mask flip the QDMI view reports without the device model
+/// bumping its calibration epoch (as a telemetry-driven view can).
+class MaskableView final : public qdmi::DeviceInterface {
+public:
+  explicit MaskableView(const qdmi::DeviceInterface& inner) : inner_(&inner) {}
+  void set_masked(int qubit) { masked_ = qubit; }
+
+  std::string name() const override { return inner_->name(); }
+  int num_qubits() const override { return inner_->num_qubits(); }
+  std::vector<std::pair<int, int>> coupling_map() const override {
+    return inner_->coupling_map();
+  }
+  std::vector<std::string> native_gates() const override {
+    return inner_->native_gates();
+  }
+  double qubit_property(qdmi::QubitProperty prop, int qubit) const override {
+    if (prop == qdmi::QubitProperty::kOperational && qubit == masked_)
+      return 0.0;
+    return inner_->qubit_property(prop, qubit);
+  }
+  double coupler_property(qdmi::CouplerProperty prop, int a,
+                          int b) const override {
+    return inner_->coupler_property(prop, a, b);
+  }
+  double device_property(qdmi::DeviceProperty prop) const override {
+    return inner_->device_property(prop);
+  }
+  qdmi::DeviceStatus status() const override { return inner_->status(); }
+
+private:
+  const qdmi::DeviceInterface* inner_;
+  int masked_ = -1;
+};
+
+TEST(PrefetchOracle, EpochBumpOrMaskFlipPrefetchesEachQueuedShapeOnceMore) {
+  Rng rng(21);
+  device::DeviceModel device = device::make_iqm20(rng);
+  SimClock clock;
+  qdmi::ModelBackedDevice model_view(device, clock);
+  MaskableView view(model_view);
+  Rng service_rng(5);
+  mqss::QpuService service(device, view, service_rng);
+  mqss::CompileFarm farm(2);
+  service.set_compile_farm(&farm);
+  Qrm qrm(device, PrefetchOracleQrm::config(), rng);
+  qrm.set_compile_service(&service);
+
+  // Two shapes, alternating, long enough that both stay queued throughout.
+  std::vector<int> ids;
+  for (int i = 0; i < 8; ++i) {
+    QuantumJob job = oracle_job(i % 2, i);
+    job.shots = 200;
+    ids.push_back(qrm.submit(std::move(job)));
+  }
+  const auto dispatch = [&](int index) {
+    while (qrm.record(ids[index]).state == QuantumJobState::kQueued)
+      qrm.advance_to(qrm.now() + 1.0);
+  };
+  const std::uint64_t epoch = device.calibration_epoch();
+
+  dispatch(0);
+  EXPECT_EQ(farm.tasks_executed(), 2u) << "first pass: one per shape";
+  dispatch(1);
+  EXPECT_EQ(farm.tasks_executed(), 2u) << "unchanged key: no new task";
+  ASSERT_EQ(device.calibration_epoch(), epoch);
+
+  // Recalibration: a new epoch keys every structure afresh.
+  device.install_calibration(device.calibration());
+  ASSERT_GT(device.calibration_epoch(), epoch);
+  dispatch(2);
+  EXPECT_EQ(farm.tasks_executed(), 4u) << "epoch bump: each shape once more";
+  dispatch(3);
+  EXPECT_EQ(farm.tasks_executed(), 4u);
+
+  // An epoch-silent mask flip in the QDMI view changes the health
+  // fingerprint, so it re-keys every queued shape too.
+  const std::uint64_t bumped = device.calibration_epoch();
+  view.set_masked(19);
+  dispatch(4);
+  EXPECT_EQ(device.calibration_epoch(), bumped);
+  EXPECT_EQ(farm.tasks_executed(), 6u) << "mask flip: each shape once more";
+  dispatch(5);
+  EXPECT_EQ(farm.tasks_executed(), 6u);
+
+  qrm.drain();
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(qrm.record(ids[i]).state, QuantumJobState::kCompleted) << i;
+    EXPECT_TRUE(ran_correct_program(qrm.record(ids[i]), oracle_outcome(i % 2, i)))
+        << i;
+  }
+}
+
+TEST(PrefetchOracle, CapacityOneStillServesCorrectPrograms) {
+  // Two shapes queued against a one-entry cache: each pass's prefetch
+  // evicts the other shape, so dispatch keeps missing and recompiling in
+  // the foreground. That is slow, never wrong.
+  for (const std::size_t workers : {0u, 3u}) {
+    PrefetchOracleQrm oracle(workers, /*cache_capacity=*/1);
+    std::vector<int> ids;
+    for (int i = 0; i < 12; ++i)
+      ids.push_back(oracle.qrm_.submit(oracle_job(i % 2, i)));
+    oracle.qrm_.drain();
+    for (int i = 0; i < 12; ++i) {
+      const QuantumJobRecord& record = oracle.qrm_.record(ids[i]);
+      EXPECT_EQ(record.state, QuantumJobState::kCompleted) << i;
+      EXPECT_TRUE(ran_correct_program(record, oracle_outcome(i % 2, i)))
+          << "workers " << workers << ", job " << i;
+    }
+    EXPECT_LE(oracle.service_.cache_stats().size, 1u);
+  }
 }
 
 }  // namespace

@@ -269,7 +269,8 @@ TEST_F(ParametricServiceTest, FarmPrefetchIsInvisibleToResultsAndStats) {
   QpuService warmed(device, view, rng);
   CompileFarm farm(4);
   warmed.set_compile_farm(&farm);
-  warmed.prefetch_structure(ansatz);
+  const QpuService::StructureRef ref{ansatz, ansatz->structural_hash()};
+  warmed.prefetch_structures({&ref, 1});
   farm.wait_idle();
   EXPECT_EQ(farm.tasks_executed(), 1u);
   EXPECT_EQ(warmed.cache_stats().misses, 0u);  // prefetch does not count
@@ -285,10 +286,10 @@ TEST_F(ParametricServiceTest, FarmPrefetchIsInvisibleToResultsAndStats) {
 
   // Prefetch without a farm (or with the cache disabled) is a safe no-op.
   warmed.set_compile_farm(nullptr);
-  warmed.prefetch_structure(ansatz);
+  warmed.prefetch_structures({&ref, 1});
   warmed.set_compile_farm(&farm);
   warmed.set_compile_cache_enabled(false);
-  warmed.prefetch_structure(ansatz);
+  warmed.prefetch_structures({&ref, 1});
   farm.wait_idle();
   EXPECT_EQ(farm.tasks_executed(), 1u);
 }
